@@ -29,7 +29,7 @@ from chaosnet import analysis, footprint, mnist, network, reservoir, rpso
 from chaosnet.maps import MapOverflowError, MapParams
 from chaosnet.mnist import IdxFormatError, SplitPlan, split_indices
 from chaosnet.network import Architecture, TrainConfig, TrainingDivergedError
-from chaosnet.reservoir import FillMethod, ReservoirConfig
+from chaosnet.reservoir import MODES, FillMethod, ReservoirConfig
 from chaosnet.rpso import OptimizationError
 
 EXIT_OK = 0
@@ -171,6 +171,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
             config[key] = value
     for expression in getattr(args, "set", None) or []:
         _apply_set(config, expression)
+    # bad values under valid keys are refused here, before any data is read
+    config_mode(config)
+    config_method(config)
+    config_grid_methods(config)
     return config
 
 
@@ -194,11 +198,28 @@ def config_params(config: dict) -> MapParams:
         raise ConfigError(f"bad map params: {exc}") from exc
 
 
+def config_mode(config: dict) -> str:
+    mode = _require(config, "mode")
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
+    return mode
+
+
 def config_method(config: dict) -> FillMethod:
     try:
         return FillMethod.from_id(int(_require(config, "method")))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def config_grid_methods(config: dict) -> list[FillMethod]:
+    raw = _require(config, "grid.methods")
+    if not isinstance(raw, list):
+        raise ConfigError(f"grid.methods must be a list of method ids, got {raw!r}")
+    try:
+        return [FillMethod.from_id(int(m)) for m in raw]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad grid.methods: {exc}") from exc
 
 
 def config_architecture(config: dict) -> Architecture:
@@ -300,7 +321,7 @@ def cmd_optimize(config: dict, resume_path: str | None = None) -> int:
         train_ds.images,
         train_ds.labels,
         train_config,
-        mode=str(_require(config, "mode")),
+        mode=config_mode(config),
     )
     raw = _require(config, "optimize")
     try:
@@ -351,7 +372,7 @@ def cmd_train(config: dict) -> int:
     architecture = config_architecture(config)
     reservoir_config = config_reservoir(config, architecture)
     train_config = config_train(config)
-    mode = str(_require(config, "mode"))
+    mode = config_mode(config)
 
     model = network.train(
         train_ds.images, train_ds.labels, architecture, reservoir_config, train_config, mode=mode
@@ -421,7 +442,7 @@ def cmd_analyze(config: dict) -> int:
         except ValueError as exc:
             raise IdxFormatError(f"cannot build the optimization split: {exc}") from exc
         subset_ds = train_ds.subset(idx, "optimization12k")
-        mode = str(_require(config, "mode"))
+        mode = config_mode(config)
 
         def accuracy_fn(map_params: MapParams) -> float:
             reservoir_config = ReservoirConfig(
@@ -512,13 +533,13 @@ def cmd_grid(config: dict) -> int:
     raw = _require(config, "grid")
     train_config = config_train(config)
     params = config_params(config)
-    mode = str(_require(config, "mode"))
+    mode = config_mode(config)
+    methods = config_grid_methods(config)
 
     results: list[tuple[str, int, float]] = []
     for p, h in raw["architectures"]:
         architecture = Architecture(int(p), None if h is None else int(h))
-        for method_id in raw["methods"]:
-            method = FillMethod.from_id(int(method_id))
+        for method in methods:
             reservoir_config = ReservoirConfig(
                 method=method, params=params, reservoir_size=architecture.reservoir_size
             )
@@ -537,16 +558,15 @@ def cmd_grid(config: dict) -> int:
         for arch, method_id, accuracy in results:
             fh.write(f"{arch},{method_id},{accuracy:.17g}\n")
 
-    methods = [int(m) for m in raw["methods"]]
     md_path = out / "grid.md"
     with open(md_path, "w", encoding="ascii") as fh:
-        fh.write("| architecture |" + "".join(f" method {m} |" for m in methods) + "\n")
+        fh.write("| architecture |" + "".join(f" method {m.id} |" for m in methods) + "\n")
         fh.write("|---|" + "---|" * len(methods) + "\n")
         for p, h in raw["architectures"]:
             arch = Architecture(int(p), None if h is None else int(h)).describe()
             row = [arch]
             for m in methods:
-                acc = next(a for ar, mi, a in results if ar == arch and mi == m)
+                acc = next(a for ar, mi, a in results if ar == arch and mi == m.id)
                 row.append(f"{acc * 100:.2f}%")
             fh.write("| " + " | ".join(row) + " |\n")
     print(f"wrote {csv_path}, {md_path}, {manifest_path}")

@@ -7,7 +7,9 @@ sine-init methods seed one independent orbit per column from a sine profile
 and store one y-iterate per row.  The transform computes f(W @ Y) either
 from the materialized matrix or in streaming mode, which regenerates the
 entries on the fly and never stores the matrix: its working state is the
-six map scalars plus one accumulator per reservoir neuron.
+six map scalars plus one accumulator per reservoir neuron.  A single input
+is streamed without a copy and its P sums are Python floats; a batch keeps
+a (P, M) numpy block.  Both give identical sums for the same row.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from chaosnet.maps import (
 )
 
 INPUT_DIM = 785  # 784 pixels + bias slot 0
+MODES = ("materialized", "streaming")  # evaluation modes of Reservoir.preactivation
 SINE_INIT_Y0 = 0.51
 
 # first row of a snake fill runs left to right; flip for the opposite convention
@@ -156,11 +159,15 @@ def _build_sine(config: ReservoirConfig) -> np.ndarray:
             x, y = y, x + a1 * x * x + a2 * y * y - a3 * x * y - a4
             if params.clamp_enabled:
                 y = np.where(np.abs(y) <= CLAMP_LIMIT, y, CLAMP_REPLACEMENT)
-            else:
-                bad = ~np.isfinite(y)
-                if bad.any():
-                    raise MapOverflowError(r, float(y[np.argmax(bad)]))
             w[r] = y
+    if not params.clamp_enabled:
+        bad = ~np.isfinite(w)
+        if bad.any():
+            # the fill order is per column: report the first bad row of the
+            # lowest bad column, the overflow streaming meets first
+            col = int(np.argmax(bad.any(axis=0)))
+            row = int(np.argmax(bad[:, col]))
+            raise MapOverflowError(row, float(w[row, col]))
     return w
 
 
@@ -168,15 +175,26 @@ def _stream_preactivation(config: ReservoirConfig, columns: np.ndarray) -> np.nd
     """W @ Y without materializing W.
 
     ``columns`` has shape (input_dim, M); the return value is (P, M).  Only
-    the map scalars, one scratch state and a (P, M) accumulator block are
-    held, so per input the storage is the six parameters plus P sums,
-    independent of the input dimension.
+    the map scalars, one scratch state and the P sums are held, so per input
+    the storage is the six parameters plus P sums, independent of the input
+    dimension.  A single input (M == 1) is read through a memoryview of its
+    contiguous column, without a copy, and its P sums are a list of Python
+    floats; a batch keeps a (P, M) numpy block.  Both containers run the
+    same loop body, and Python floats and float64 elements perform the same
+    IEEE operations in the same order, so a row gives identical sums alone
+    and inside a batch.
     """
     params = config.effective_params
     p_rows, dim = config.reservoir_size, config.input_dim
     a1, a2, a3, a4 = params.a1, params.a2, params.a3, params.a4
     clamp = params.clamp_enabled
-    acc = np.zeros((p_rows, columns.shape[1]), dtype=np.float64)
+    single = columns.shape[1] == 1
+    if single:
+        # numpy calls on 1-element arrays cost ten times the map step itself
+        columns = memoryview(columns[:, 0])
+        acc = [0.0] * p_rows
+    else:
+        acc = np.zeros((p_rows, columns.shape[1]), dtype=np.float64)
 
     if config.method.init_kind == "constant":
         x, y = params.A, params.B
@@ -202,6 +220,7 @@ def _stream_preactivation(config: ReservoirConfig, columns: np.ndarray) -> np.nd
                 elif not math.isfinite(y):
                     raise MapOverflowError(step, y)
                 acc_p += y * columns[col]
+            acc[p] = acc_p  # a float sum was rebound, a numpy row updated in place
             forward = not forward
     else:
         pi_over_b = math.pi / params.B
@@ -219,7 +238,7 @@ def _stream_preactivation(config: ReservoirConfig, columns: np.ndarray) -> np.nd
                 elif not math.isfinite(y):
                     raise MapOverflowError(r, y)
                 acc[r] += y * col
-    return acc
+    return np.array(acc)[:, None] if single else acc
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -30,6 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from chaosnet.maps import MapOverflowError, MapParams
+from chaosnet.network import TrainingDivergedError
 
 DEFAULT_OMEGA = 0.5
 DEFAULT_C1 = 2.0
@@ -140,10 +142,12 @@ class Swarm:
 
 
 def _evaluate(objective: Callable[[np.ndarray], float], position: np.ndarray) -> float:
-    """Objective value, demoted to the failure fitness on error or non-finite."""
+    """Objective value, demoted to the failure fitness on map overflow,
+    training divergence or a non-finite value.  Any other exception is a
+    fault in the objective, not a failed particle, and propagates."""
     try:
         value = float(objective(position))
-    except Exception:
+    except (MapOverflowError, TrainingDivergedError):
         return FAILED_FITNESS
     return value if math.isfinite(value) else FAILED_FITNESS
 
@@ -333,8 +337,18 @@ def save_checkpoint(swarm: Swarm, path) -> None:
         "iteration": swarm.iteration,
         "evaluations": swarm.evaluations,
     }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh)
+    # a write cut short leaves the previous checkpoint intact: only a complete
+    # file, flushed to disk, is renamed over it
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            json.dump(payload, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_checkpoint(path) -> Swarm:
@@ -393,7 +407,7 @@ def make_accuracy_objective(
     training base.  A position whose map overflows or whose training
     diverges is worth 0.
     """
-    from chaosnet.network import TrainConfig, TrainingDivergedError, evaluate, train
+    from chaosnet.network import TrainConfig, evaluate, train
     from chaosnet.reservoir import ReservoirConfig, flatten_images
 
     if train_config is None:

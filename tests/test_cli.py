@@ -398,6 +398,27 @@ def test_bad_swarm_size_exits_2(synthetic_data_dir, tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "command, expression",
+    [
+        ("train", "mode=fast"),
+        ("optimize", "mode=fast"),
+        ("grid", "grid.methods=[7]"),
+        ("grid", "grid.methods=[4, x]"),
+        ("grid", "grid.methods=4"),
+        ("train", "method=0"),
+    ],
+)
+def test_bad_value_under_valid_key_exits_2_before_reading_data(
+    synthetic_data_dir, tmp_path, command, expression
+):
+    out = tmp_path / "o"
+    code = run(command, *common_flags(synthetic_data_dir, out), "--set", expression)
+    assert code == EXIT_CONFIG
+    # refused while resolving the config: no command started, so no manifest
+    assert not (out / f"manifest-{command}.yaml").exists()
+
+
 def test_unknown_sweep_parameter_exits_2(tmp_path):
     code = run(
         "analyze",

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaosnet.maps import MapOverflowError, MapParams, iterate_series
@@ -24,6 +24,7 @@ from chaosnet.reservoir import (
     export_matrix_csv,
     sigmoid,
 )
+from chaosnet.rpso import MAP_LOWER_BOUNDS, MAP_UPPER_BOUNDS, params_from_position
 
 from conftest import STABLE_PARAMS
 
@@ -398,3 +399,53 @@ def test_streaming_equivalence_holds_for_clamped_methods(method_id, a1, seed):
     dense = res.preactivation(rows, mode="materialized")
     lean = res.preactivation(rows, mode="streaming")
     assert np.max(np.abs(dense - lean)) <= 1e-12
+
+
+def _streamed_or_overflow(compute):
+    try:
+        return compute()
+    except MapOverflowError as exc:
+        return exc.iteration
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    method_id=st.integers(min_value=1, max_value=6),
+    size=st.integers(min_value=1, max_value=30),
+    position=st.tuples(
+        *(st.floats(min_value=lo, max_value=hi)
+          for lo, hi in zip(MAP_LOWER_BOUNDS, MAP_UPPER_BOUNDS))
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# a sine fill whose columns overflow at different rows
+@example(
+    method_id=1,
+    size=25,
+    position=(1.4232561556955485, 9.232589706665488, 0.508374500326161,
+              1.027315999648267, 0.6259903235756148, 0.09117944350567053),
+    seed=0,
+)
+def test_single_input_streams_like_its_batch_row(method_id, size, position, seed):
+    """A single input (Python-float sums) streams bit for bit like the same
+    row inside a batch (numpy block), and both meet materialized; an
+    overflow is raised at the same iteration by all three paths."""
+    config = ReservoirConfig(
+        method=FillMethod.from_id(method_id),
+        params=params_from_position(position),
+        reservoir_size=size,
+    )
+    res = Reservoir(config)
+    rows = np.random.default_rng(seed).random((3, INPUT_DIM))
+    single = _streamed_or_overflow(lambda: res.preactivation(rows[1], "streaming"))
+    batch = _streamed_or_overflow(lambda: res.preactivation(rows, "streaming")[1])
+    matrix = _streamed_or_overflow(lambda: build_matrix(config))
+    if isinstance(matrix, int):
+        assert single == batch == matrix
+        return
+    assert single.tobytes() == batch.tobytes()
+    # Both sides round each of the 785 products and sums once, in different
+    # orders, so they differ by at most about 785 * 2**-53 of the sum of
+    # absolute terms; search-box orbits reach sums far above 1.
+    scale = 1.0 + np.abs(matrix) @ np.abs(rows[1])
+    assert np.all(np.abs(single - matrix @ rows[1]) <= 1e-12 * scale)

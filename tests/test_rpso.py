@@ -1,10 +1,13 @@
 """Particle swarm with random immigrants: velocity update, bound handling,
 immigrant replacement, checkpointing and the end-to-end optimize loop."""
 
+import json
+
 import numpy as np
 import pytest
 
-from chaosnet.maps import MapParams
+from chaosnet.maps import MapOverflowError, MapParams
+from chaosnet.network import TrainingDivergedError
 from chaosnet.rpso import (
     FAILED_FITNESS,
     MAP_LOWER_BOUNDS,
@@ -164,16 +167,29 @@ def test_pso_step_updates_personal_and_global_best():
 
 
 def test_failing_objective_scores_negative_infinity():
-    def bad(position):
-        raise FloatingPointError("boom")
+    for error in (MapOverflowError(16), TrainingDivergedError(2)):
 
+        def bad(position):
+            raise error
+
+        swarm = manual_swarm(0.2, 0.1, 0.5, 0.9)
+        swarm.pbest_fitness = np.array([-4.0])
+        swarm.gbest_fitness = -4.0
+        pso_step(swarm, bad, r1=0.0, r2=0.0)
+        # the failed evaluation must not displace the existing bests
+        assert swarm.pbest_fitness[0] == -4.0
+        assert swarm.gbest_fitness == -4.0
+
+
+def test_unexpected_objective_error_escapes_the_swarm():
+    def buggy(position):
+        return 1 / 0
+
+    with pytest.raises(ZeroDivisionError):
+        init_swarm(buggy, box_config())
     swarm = manual_swarm(0.2, 0.1, 0.5, 0.9)
-    swarm.pbest_fitness = np.array([-4.0])
-    swarm.gbest_fitness = -4.0
-    pso_step(swarm, bad, r1=0.0, r2=0.0)
-    # the failed evaluation must not displace the existing bests
-    assert swarm.pbest_fitness[0] == -4.0
-    assert swarm.gbest_fitness == -4.0
+    with pytest.raises(ZeroDivisionError):
+        pso_step(swarm, buggy, r1=0.0, r2=0.0)
 
 
 def test_init_swarm_raises_when_everything_fails():
@@ -334,6 +350,28 @@ def test_checkpoint_round_trip_preserves_swarm(tmp_path):
     assert back.iteration == swarm.iteration
     # the restored generator continues the exact random stream
     assert back.rng.random() == swarm.rng.random()
+
+
+def test_interrupted_checkpoint_write_keeps_the_previous_one(tmp_path, monkeypatch):
+    swarm = immigrant_test_swarm()
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(swarm, path)
+    before = path.read_bytes()
+
+    def dump_half_then_fail(payload, fh):
+        fh.write('{"config": ')
+        raise OSError("disk full")
+
+    positions = swarm.positions.copy()
+    monkeypatch.setattr(json, "dump", dump_half_then_fail)
+    immigrate(swarm)
+    with pytest.raises(OSError):
+        save_checkpoint(swarm, path)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert np.array_equal(load_checkpoint(path).positions, positions)
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_trace_csv_contains_all_iterations(tmp_path):
