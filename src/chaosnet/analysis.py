@@ -46,18 +46,38 @@ class ApEnConfig:
 
 
 def _phi(series: np.ndarray, m: int, r: float) -> float:
-    """Mean log of the regular Chebyshev correlation sums at window size m."""
+    """Mean log of the regular Chebyshev correlation sums at window size m.
+
+    The windows are sorted by their first coordinate.  A block of
+    consecutive sorted query windows can only match windows whose first
+    coordinate lies within r of the block's first-coordinate range, one
+    contiguous run of the sorted order, found by two binary searches.  The
+    run's ends are widened by a few ulps of the operands, so every window
+    left out is one the distance test below would reject.  Inside the run
+    the test is the dense one (max over coordinates of ``|q - w|``, then
+    ``<= r``), and the match counts are put back in window order before
+    the log-mean, so the result is bit for bit the all-pairs one.  Cost:
+    one sort plus, per query, the windows whose first coordinate is within
+    about r of it: near linear on a spread-out series, all pairs on a
+    constant one.
+    """
     count = series.size - m + 1
-    windows = sliding_window_view(series, m)  # (count, m), a view
-    matches = np.zeros(count, dtype=np.int64)
-    # block over query windows so the pairwise distance slab stays bounded
-    block = max(1, 8_000_000 // count)
+    order = np.argsort(series[:count], kind="stable")
+    windows = sliding_window_view(series, m)[order]  # (count, m), sorted by column 0
+    first = windows[:, 0]
+    matches = np.empty(count, dtype=np.int64)
+    # a small query block keeps the slab in cache; the 8M-entry cap bounds it
+    block = max(1, min(128, 8_000_000 // count))
     for start in range(0, count, block):
         q = windows[start : start + block]
-        d = np.abs(q[:, 0, None] - windows[None, :, 0])
+        lo_q, hi_q = float(q[0, 0]), float(q[-1, 0])
+        lo = np.searchsorted(first, lo_q - r - 8 * np.spacing(max(abs(lo_q), r)), "left")
+        hi = np.searchsorted(first, hi_q + r + 8 * np.spacing(max(abs(hi_q), r)), "right")
+        w = windows[lo:hi]
+        d = np.abs(q[:, 0, None] - w[None, :, 0])
         for k in range(1, m):
-            np.maximum(d, np.abs(q[:, k, None] - windows[None, :, k]), out=d)
-        matches[start : start + block] = (d <= r).sum(axis=1)
+            np.maximum(d, np.abs(q[:, k, None] - w[None, :, k]), out=d)
+        matches[order[start : start + block]] = (d <= r).sum(axis=1)
     return float(np.log(matches / count).mean())
 
 
@@ -66,7 +86,10 @@ def approximate_entropy(series: Sequence[float], config: ApEnConfig = ApEnConfig
 
     Window distance is the max norm; r is an absolute tolerance on the raw
     series.  Identical windows always match themselves, so every
-    correlation sum is strictly positive and the result is finite.
+    correlation sum is strictly positive and the result is finite.  Each
+    window is compared only with the sorted run of windows whose first value
+    can lie within r (see ``_phi``); the result equals the all-pairs
+    computation bit for bit.
     """
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:

@@ -294,6 +294,32 @@ def _load_datasets(config: dict):
 
 
 def cmd_optimize(config: dict, resume_path: str | None = None) -> int:
+    seed = int(_require(config, "seed"))
+    raw = _require(config, "optimize")
+    try:
+        swarm_config = rpso.SwarmConfig(
+            lower=np.asarray(raw["lower"], dtype=np.float64),
+            upper=np.asarray(raw["upper"], dtype=np.float64),
+            particle_count=int(raw["particles"]),
+            iterations=int(raw["iterations"]),
+            omega=float(raw["omega"]),
+            c1=float(raw["c1"]),
+            c2=float(raw["c2"]),
+            immigrant_fraction=float(raw["immigrant_fraction"]),
+            rng_seed=seed,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad optimize config: {exc}") from exc
+    if resume_path:
+        # the manifest must describe the run the checkpoint continues
+        saved = rpso.load_checkpoint(resume_path).config.as_dict()
+        wanted = swarm_config.as_dict()
+        differ = sorted(k for k in wanted if saved[k] != wanted[k])
+        if differ:
+            raise ConfigError(
+                f"checkpoint {resume_path} was written by another optimize config "
+                f"(differs in {', '.join(differ)})"
+            )
     out = _output_dir(config)
     manifest_path, digest = write_manifest(config, "optimize")
     train_ds, _ = _load_datasets(config)
@@ -301,7 +327,6 @@ def cmd_optimize(config: dict, resume_path: str | None = None) -> int:
     method = config_method(config)
     train_config = config_train(config)
 
-    seed = int(_require(config, "seed"))
     plan = SplitPlan(
         optimization_fraction=float(_require(config, "split.fraction")),
         rng_seed=seed,
@@ -323,21 +348,6 @@ def cmd_optimize(config: dict, resume_path: str | None = None) -> int:
         train_config,
         mode=config_mode(config),
     )
-    raw = _require(config, "optimize")
-    try:
-        swarm_config = rpso.SwarmConfig(
-            lower=np.asarray(raw["lower"], dtype=np.float64),
-            upper=np.asarray(raw["upper"], dtype=np.float64),
-            particle_count=int(raw["particles"]),
-            iterations=int(raw["iterations"]),
-            omega=float(raw["omega"]),
-            c1=float(raw["c1"]),
-            c2=float(raw["c2"]),
-            immigrant_fraction=float(raw["immigrant_fraction"]),
-            rng_seed=seed,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad optimize config: {exc}") from exc
     checkpoint = out / "checkpoint.json"
     if resume_path:
         result = rpso.resume(objective, resume_path)

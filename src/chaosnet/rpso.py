@@ -93,6 +93,21 @@ class SwarmConfig:
         if not 0.0 <= self.immigrant_fraction <= 1.0:
             raise ValueError(f"immigrant_fraction must be in [0, 1], got {self.immigrant_fraction}")
 
+    def as_dict(self) -> dict:
+        """Plain JSON-ready form; the checkpoint stores it and ``SwarmConfig(**d)``
+        rebuilds the config."""
+        return {
+            "lower": self.lower.tolist(),
+            "upper": self.upper.tolist(),
+            "particle_count": self.particle_count,
+            "iterations": self.iterations,
+            "omega": self.omega,
+            "c1": self.c1,
+            "c2": self.c2,
+            "immigrant_fraction": self.immigrant_fraction,
+            "rng_seed": self.rng_seed,
+        }
+
     @property
     def dimensions(self) -> int:
         return self.lower.size
@@ -134,6 +149,9 @@ class Swarm:
     gbest_index: int
     iteration: int = 0
     evaluations: int = 0
+    # run history, kept with the state so a checkpoint carries it
+    trace: list[FitnessRecord] = field(default_factory=list)
+    immigrant_counts: list[int] = field(default_factory=list)
 
     def record(self, wall_time: float = 0.0) -> FitnessRecord:
         return FitnessRecord(
@@ -168,7 +186,7 @@ def init_swarm(
     if not np.isfinite(fitness).any():
         raise OptimizationError("every particle of the initial round failed to evaluate")
     best = int(np.argmax(fitness))
-    return Swarm(
+    swarm = Swarm(
         config=config,
         rng=rng,
         positions=positions,
@@ -180,6 +198,8 @@ def init_swarm(
         gbest_index=best,
         evaluations=n,
     )
+    swarm.trace.append(swarm.record(0.0))
+    return swarm
 
 
 def pso_step(
@@ -273,32 +293,28 @@ def optimize(
     iteration and an interrupted run can continue via :func:`resume`.
     """
     swarm = init_swarm(objective, config, rng)
-    return _run(swarm, objective, callback, checkpoint_path, fresh=True)
+    return _run(swarm, objective, callback, checkpoint_path)
 
 
-def _run(swarm, objective, callback, checkpoint_path, fresh: bool,
-         prior: SwarmResult | None = None) -> SwarmResult:
-    start = time.monotonic()
-    if prior is None:
-        result = SwarmResult(swarm.gbest_position.copy(), swarm.gbest_fitness)
-        if fresh:
-            result.trace.append(swarm.record(0.0))
-    else:
-        result = prior
+def _run(swarm, objective, callback, checkpoint_path) -> SwarmResult:
+    # wall times continue from the last recorded one, so a resumed trace
+    # reads as one run
+    start = time.monotonic() - (swarm.trace[-1].wall_time if swarm.trace else 0.0)
     while swarm.iteration < swarm.config.iterations:
         pso_step(swarm, objective)
-        count = immigrate(swarm).size
-        result.immigrant_counts.append(count)
-        result.trace.append(swarm.record(time.monotonic() - start))
-        result.best_position = swarm.gbest_position.copy()
-        result.best_fitness = swarm.gbest_fitness
-        result.evaluations = swarm.evaluations
+        swarm.immigrant_counts.append(immigrate(swarm).size)
+        swarm.trace.append(swarm.record(time.monotonic() - start))
         if checkpoint_path is not None:
             save_checkpoint(swarm, checkpoint_path)
         if callback is not None:
             callback(swarm.iteration, swarm)
-    result.evaluations = swarm.evaluations
-    return result
+    return SwarmResult(
+        swarm.gbest_position.copy(),
+        swarm.gbest_fitness,
+        list(swarm.trace),
+        list(swarm.immigrant_counts),
+        swarm.evaluations,
+    )
 
 
 def resume(
@@ -306,25 +322,18 @@ def resume(
     checkpoint_path,
     callback: Callable[[int, Swarm], None] | None = None,
 ) -> SwarmResult:
-    """Continue an interrupted :func:`optimize` run from its checkpoint."""
+    """Continue an interrupted :func:`optimize` run from its checkpoint.
+
+    The checkpoint carries the trace and immigrant counts recorded so far,
+    so the result equals the uninterrupted run's (wall times aside).
+    """
     swarm = load_checkpoint(checkpoint_path)
-    return _run(swarm, objective, callback, checkpoint_path, fresh=False)
+    return _run(swarm, objective, callback, checkpoint_path)
 
 
 def save_checkpoint(swarm: Swarm, path) -> None:
-    config = swarm.config
     payload = {
-        "config": {
-            "lower": config.lower.tolist(),
-            "upper": config.upper.tolist(),
-            "particle_count": config.particle_count,
-            "iterations": config.iterations,
-            "omega": config.omega,
-            "c1": config.c1,
-            "c2": config.c2,
-            "immigrant_fraction": config.immigrant_fraction,
-            "rng_seed": config.rng_seed,
-        },
+        "config": swarm.config.as_dict(),
         "rng_state": swarm.rng.bit_generator.state,
         "positions": swarm.positions.tolist(),
         "velocities": swarm.velocities.tolist(),
@@ -336,6 +345,16 @@ def save_checkpoint(swarm: Swarm, path) -> None:
         "gbest_index": swarm.gbest_index,
         "iteration": swarm.iteration,
         "evaluations": swarm.evaluations,
+        "trace": [
+            {
+                "iteration": rec.iteration,
+                "fitness": repr(float(rec.fitness)),
+                "position": rec.position.tolist(),
+                "wall_time": rec.wall_time,
+            }
+            for rec in swarm.trace
+        ],
+        "immigrant_counts": swarm.immigrant_counts,
     }
     # a write cut short leaves the previous checkpoint intact: only a complete
     # file, flushed to disk, is renamed over it
@@ -369,6 +388,16 @@ def load_checkpoint(path) -> Swarm:
         gbest_index=int(payload["gbest_index"]),
         iteration=int(payload["iteration"]),
         evaluations=int(payload["evaluations"]),
+        trace=[
+            FitnessRecord(
+                np.asarray(rec["position"], dtype=np.float64),
+                float(rec["fitness"]),
+                int(rec["iteration"]),
+                float(rec["wall_time"]),
+            )
+            for rec in payload["trace"]
+        ],
+        immigrant_counts=[int(k) for k in payload["immigrant_counts"]],
     )
 
 

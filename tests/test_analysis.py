@@ -2,11 +2,13 @@
 phase-portrait sampling and the entropy/accuracy table."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from chaosnet.analysis import (
     ApEnConfig,
@@ -102,6 +104,83 @@ def test_apen_input_validation():
 def test_apen_is_never_meaningfully_negative(seed, m, r):
     series = np.random.default_rng(seed).random(60)
     assert approximate_entropy(series, ApEnConfig(m=m, r=r)) >= -1e-12
+
+
+def dense_phi(series, m, r):
+    """All-pairs correlation-sum log-mean, the exact float reference for the
+    sorted-range search: every query window against every window."""
+    count = series.size - m + 1
+    windows = sliding_window_view(series, m)  # (count, m), a view
+    matches = np.zeros(count, dtype=np.int64)
+    # block over query windows so the pairwise distance slab stays bounded
+    block = max(1, 8_000_000 // count)
+    for start in range(0, count, block):
+        q = windows[start : start + block]
+        d = np.abs(q[:, 0, None] - windows[None, :, 0])
+        for k in range(1, m):
+            np.maximum(d, np.abs(q[:, k, None] - windows[None, :, k]), out=d)
+        matches[start : start + block] = (d <= r).sum(axis=1)
+    return float(np.log(matches / count).mean())
+
+
+SERIES_KINDS = (
+    "uniform", "r_grid", "ulp_jittered_grid", "constant", "few_valued", "mixed_magnitude",
+    "method_1", "method_2", "method_3", "method_4", "method_5", "method_6",
+)
+
+
+def draw_series(kind, n, r, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.uniform(-1.0, 1.0, n)
+    if kind in ("r_grid", "ulp_jittered_grid"):
+        # integer multiples of r put many window distances exactly on r
+        grid = r * rng.integers(-12, 13, n)
+        if kind == "r_grid":
+            return grid
+        step = rng.integers(-1, 2, n)
+        return np.where(step > 0, np.nextafter(grid, np.inf),
+                        np.where(step < 0, np.nextafter(grid, -np.inf), grid))
+    if kind == "constant":
+        return np.full(n, rng.normal())
+    if kind == "few_valued":
+        return rng.choice(rng.uniform(-r, 3 * r, 3), n)
+    if kind == "mixed_magnitude":
+        return rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-6, 7, n)
+    method = FillMethod.from_id(int(kind.removeprefix("method_")))
+    return weight_series(method, STABLE_PARAMS, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(SERIES_KINDS),
+    # long series span many query blocks of the sorted-range search
+    n=st.one_of(
+        st.integers(min_value=3, max_value=300), st.integers(min_value=1000, max_value=3000)
+    ),
+    m=st.integers(min_value=1, max_value=4),
+    r=st.one_of(
+        st.sampled_from([0.025, 0.05, 0.1]),
+        st.floats(min_value=1e-9, max_value=10.0, allow_nan=False, allow_infinity=False),
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_apen_equals_the_all_pairs_computation_bit_for_bit(kind, n, m, r, seed):
+    series = draw_series(kind, max(n, m + 2), r, seed)
+    expected = dense_phi(series, m, r) - dense_phi(series, m + 1, r)
+    assert approximate_entropy(series, ApEnConfig(m=m, r=r)) == expected
+
+
+def test_apen_memory_on_a_long_series_stays_under_the_old_slab():
+    series = np.random.default_rng(5).uniform(-1.0, 1.0, 20_000)
+    tracemalloc.start()
+    try:
+        approximate_entropy(series, ApEnConfig(m=2, r=0.1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the all-pairs version held a 64 MB distance slab (8M float64 entries)
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------- weight series

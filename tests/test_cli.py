@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 import chaosnet
+from chaosnet import rpso
 from chaosnet.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -193,19 +194,49 @@ def test_optimize_is_deterministic(synthetic_data_dir, tmp_path):
     assert (out / "trace.csv").read_bytes() == first
 
 
-def test_optimize_resume_from_checkpoint(synthetic_data_dir, tmp_path):
+def test_optimize_resume_from_checkpoint(synthetic_data_dir, tmp_path, monkeypatch):
+    full_out = tmp_path / "full"
+    assert run(*optimize_smoke_args(synthetic_data_dir, full_out)) == EXIT_OK
+    final = yaml.safe_load((full_out / "best_params.yaml").read_text())
+
+    save = rpso.save_checkpoint
+
+    def save_then_interrupt(swarm, path):
+        save(swarm, path)
+        raise KeyboardInterrupt
+
+    # interrupted right after the checkpoint of iteration 1 of 2
     out = tmp_path / "opt"
     args = optimize_smoke_args(synthetic_data_dir, out)
+    monkeypatch.setattr(rpso, "save_checkpoint", save_then_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run(*args)
+    monkeypatch.undo()
+    assert not (out / "trace.csv").exists()
+
+    assert run(*args, "--resume", str(out / "checkpoint.json")) == EXIT_OK
+    assert yaml.safe_load((out / "best_params.yaml").read_text()) == final
+    # every iteration's row, the ones before the interruption included; the
+    # comment line cites the manifest, which names the output directory
+    rows = (out / "trace.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows[1:]] == ["0", "1", "2"]
+    assert rows == (full_out / "trace.csv").read_text().splitlines()[1:]
+
+
+def test_optimize_resume_with_another_config_exits_2(synthetic_data_dir, tmp_path):
+    out = tmp_path / "opt"
+    args = optimize_smoke_args(synthetic_data_dir, out) + ["--set", "optimize.iterations=1"]
     assert run(*args) == EXIT_OK
-    final = yaml.safe_load((out / "best_params.yaml").read_text())
 
     resumed_out = tmp_path / "resumed"
-    resumed = args + ["--resume", str(out / "checkpoint.json")]
+    resumed = args + [
+        "--resume", str(out / "checkpoint.json"), "--set", "optimize.iterations=4"
+    ]
     resumed[resumed.index(str(out))] = str(resumed_out)
-    assert run(*resumed) == EXIT_OK
-    # the checkpoint stores the finished swarm, so resuming adds nothing
-    again = yaml.safe_load((resumed_out / "best_params.yaml").read_text())
-    assert again["fitness"] >= final["fitness"]
+    resumed[resumed.index(str(synthetic_data_dir))] = str(tmp_path / "no-data")
+    # refused before the manifest is written or the (here missing) data is read
+    assert run(*resumed) == EXIT_CONFIG
+    assert not (resumed_out / "manifest-optimize.yaml").exists()
 
 
 # ---------------------------------------------------------------- analyze

@@ -2,9 +2,13 @@
 immigrant replacement, checkpointing and the end-to-end optimize loop."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaosnet.maps import MapOverflowError, MapParams
 from chaosnet.network import TrainingDivergedError
@@ -318,23 +322,65 @@ class _Abort(Exception):
     pass
 
 
-def test_resume_matches_uninterrupted_run(tmp_path):
-    config = box_config(iterations=12, particle_count=8, rng_seed=9)
-    full = optimize(sphere, config)
+def assert_same_run(resumed, full):
+    """Same best, trace and immigrant counts; wall times may differ."""
+    assert resumed.best_fitness == full.best_fitness
+    assert np.array_equal(resumed.best_position, full.best_position)
+    assert resumed.evaluations == full.evaluations
+    assert resumed.immigrant_counts == full.immigrant_counts
+    assert len(resumed.trace) == len(full.trace)
+    for got, want in zip(resumed.trace, full.trace):
+        assert got.iteration == want.iteration
+        assert got.fitness == want.fitness
+        assert np.array_equal(got.position, want.position)
 
-    path = tmp_path / "checkpoint.json"
 
-    def stop_after_three(iteration, swarm):
-        save_checkpoint(swarm, path)
-        if iteration == 3:
+def interrupt_and_resume(config, stop, path):
+    def abort(iteration, swarm):
+        if iteration == stop:
             raise _Abort()
 
     with pytest.raises(_Abort):
-        optimize(sphere, config, callback=stop_after_three)
+        optimize(sphere, config, callback=abort, checkpoint_path=path)
+    return resume(sphere, path)
 
-    resumed = resume(sphere, path)
-    assert resumed.best_fitness == full.best_fitness
-    assert np.array_equal(resumed.best_position, full.best_position)
+
+def test_resume_matches_uninterrupted_run(tmp_path):
+    config = box_config(iterations=12, particle_count=8, rng_seed=9)
+    full = optimize(sphere, config)
+    resumed = interrupt_and_resume(config, 3, tmp_path / "checkpoint.json")
+    assert len(resumed.trace) == 13
+    assert len(resumed.immigrant_counts) == 12
+    assert_same_run(resumed, full)
+    # wall times run on across the interruption
+    walls = [rec.wall_time for rec in resumed.trace]
+    assert walls == sorted(walls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    iterations=st.integers(1, 8),
+    particles=st.integers(2, 8),
+    fraction=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_resume_from_any_interruption_reproduces_the_run(
+    iterations, particles, fraction, seed, data
+):
+    config = box_config(
+        lower=np.array([-5.0, -2.0]),
+        upper=np.array([5.0, 3.0]),
+        iterations=iterations,
+        particle_count=particles,
+        immigrant_fraction=fraction,
+        rng_seed=seed,
+    )
+    stop = data.draw(st.integers(1, iterations), label="stop after iteration")
+    full = optimize(sphere, config)
+    with tempfile.TemporaryDirectory() as tmp:
+        resumed = interrupt_and_resume(config, stop, Path(tmp) / "checkpoint.json")
+    assert_same_run(resumed, full)
 
 
 def test_checkpoint_round_trip_preserves_swarm(tmp_path):
