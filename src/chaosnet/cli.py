@@ -25,7 +25,7 @@ import numpy as np
 import yaml
 
 import chaosnet
-from chaosnet import analysis, footprint, mnist, network, reservoir, rpso
+from chaosnet import analysis, footprint, mnist, network, rpso
 from chaosnet.maps import MapOverflowError, MapParams
 from chaosnet.mnist import IdxFormatError, SplitPlan, split_indices
 from chaosnet.network import Architecture, TrainConfig, TrainingDivergedError
@@ -350,7 +350,7 @@ def cmd_optimize(config: dict, resume_path: str | None = None) -> int:
     )
     checkpoint = out / "checkpoint.json"
     if resume_path:
-        result = rpso.resume(objective, resume_path)
+        result = rpso.resume(objective, resume_path, checkpoint_path=checkpoint)
     else:
         result = rpso.optimize(objective, swarm_config, checkpoint_path=checkpoint)
 
@@ -387,10 +387,11 @@ def cmd_train(config: dict) -> int:
     model = network.train(
         train_ds.images, train_ds.labels, architecture, reservoir_config, train_config, mode=mode
     )
-    accuracy = network.evaluate(model, test_ds.images, test_ds.labels, mode=mode)
-    predictions = model.predict(reservoir.flatten_images(test_ds.images), mode)
+    # one projection of the test set gives both the confusion and the accuracy
+    predictions = model.predict(test_ds.images, mode)
     confusion = np.zeros((10, 10), dtype=np.int64)
     np.add.at(confusion, (test_ds.labels.astype(np.int64), predictions), 1)
+    accuracy = int(np.trace(confusion)) / len(test_ds)
 
     model_path = Path(config.get("model_path") or out / "model.json")
     network.save_model(model, model_path)

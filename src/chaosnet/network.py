@@ -21,7 +21,6 @@ from chaosnet.reservoir import (
     NotFittedError,
     Reservoir,
     ReservoirConfig,
-    flatten_images,
     sigmoid,
 )
 
@@ -318,7 +317,9 @@ class NetworkModel:
         self.training_meta = dict(training_meta or {})
 
     def features(self, inputs: np.ndarray, mode: str = "materialized") -> np.ndarray:
-        """Reservoir outputs for 785-vectors (single or rows)."""
+        """Reservoir outputs for one 785-vector, (N, 785) rows or (N, 28, 28)
+        uint8 images; materialized images are projected in chunks, never
+        flattened as a whole (see :meth:`Reservoir.preactivation`)."""
         return self.reservoir.transform(inputs, mode)
 
     def forward(self, inputs: np.ndarray, mode: str = "materialized") -> np.ndarray:
@@ -331,17 +332,6 @@ class NetworkModel:
         return self.classifier.predict(np.atleast_2d(self.features(inputs, mode)))
 
 
-def _as_input_rows(images: np.ndarray, input_dim: int) -> np.ndarray:
-    """Accept raw (N, 28, 28) grids or pre-flattened (N, input_dim) rows."""
-    arr = np.asarray(images)
-    if arr.ndim == 3:
-        return flatten_images(arr)
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != input_dim:
-        raise ValueError(f"expected (N, 28, 28) images or (N, {input_dim}) rows, got {arr.shape}")
-    return arr
-
-
 def train(
     images: np.ndarray,
     labels: np.ndarray,
@@ -352,18 +342,18 @@ def train(
 ) -> NetworkModel:
     """Fit normalization stats, project the dataset, train the head by SGD.
 
-    Deterministic given ``train_config.rng_seed``: one generator drives both
-    weight init and batch shuffling.
+    ``images`` are (N, 28, 28) uint8 grids.  They are projected once, by
+    :meth:`Reservoir.fit_transform`, and only the N x P features are held
+    in float.  Deterministic given ``train_config.rng_seed``: one generator
+    drives both weight init and batch shuffling.
     """
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("training dataset is empty")
     if reservoir_config.reservoir_size != architecture.reservoir_size:
         raise ValueError("reservoir config and architecture disagree on P")
-    rows = _as_input_rows(images, reservoir_config.input_dim)
-
-    reservoir = Reservoir(reservoir_config).fit(rows, mode)
-    features = reservoir.transform(rows, mode)
+    reservoir = Reservoir(reservoir_config)
+    features = reservoir.fit_transform(images, mode)
 
     rng = np.random.default_rng(train_config.rng_seed)
     classifier = Classifier(architecture.network_config(), rng)
@@ -391,12 +381,12 @@ def train(
 
 def evaluate(model: NetworkModel, images: np.ndarray, labels: np.ndarray,
              mode: str = "materialized") -> float:
-    """Fraction of argmax predictions matching ``labels``."""
+    """Fraction of argmax predictions matching ``labels`` on (N, 28, 28)
+    uint8 ``images``, projected in chunks without a float copy of the stack."""
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("evaluation dataset is empty")
-    rows = _as_input_rows(images, model.reservoir.config.input_dim)
-    predictions = model.predict(rows, mode)
+    predictions = model.predict(images, mode)
     return float((predictions == labels).mean())
 
 

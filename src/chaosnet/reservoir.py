@@ -10,6 +10,10 @@ entries on the fly and never stores the matrix: its working state is the
 six map scalars plus one accumulator per reservoir neuron.  A single input
 is streamed without a copy and its P sums are Python floats; a batch keeps
 a (P, M) numpy block.  Both give identical sums for the same row.
+
+A stack of (N, 28, 28) images is projected in materialized mode without a
+float copy of the stack: chunks of pixels are scaled into one reused
+(rows, 785) buffer and multiplied into the N x P result.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from chaosnet.maps import (
 INPUT_DIM = 785  # 784 pixels + bias slot 0
 MODES = ("materialized", "streaming")  # evaluation modes of Reservoir.preactivation
 SINE_INIT_Y0 = 0.51
+PROJECTION_CHUNK_ROWS = 4096  # most image rows scaled and multiplied at once
 
 # first row of a snake fill runs left to right; flip for the opposite convention
 SNAKE_FIRST_ROW_LEFT_TO_RIGHT = True
@@ -279,8 +284,31 @@ class Reservoir:
     def preactivation(
         self, inputs: np.ndarray, mode: Literal["materialized", "streaming"] = "materialized"
     ) -> np.ndarray:
-        """W @ Y for one input vector or a batch of rows."""
-        arr = np.asarray(inputs, dtype=np.float64)
+        """W @ Y for one input vector, a batch of rows or a stack of images.
+
+        ``inputs`` is one input_dim vector, (N, input_dim) rows, or (N, 28, 28)
+        uint8 pixel grids for the 785-slot input.  Materialized images are
+        projected in ceil(N / PROJECTION_CHUNK_ROWS) near-equal chunks through
+        one reused float64 (rows, 785) buffer whose column 0 is the bias 1, so
+        the float form of the whole stack is never held; streaming mode
+        flattens them to rows first.
+
+        N <= PROJECTION_CHUNK_ROWS is one call, as ``flatten_images(inputs) @
+        W.T``.  For larger N the chunked result equals that product bit for
+        bit when 2 <= P <= 192: BLAS rounds a row alike in any chunk of more
+        than a few rows, and near-equal chunks leave no tiny remainder.
+        Otherwise it agrees within a few ulps of the sum of absolute terms:
+        numpy sends P = 1 to gemv, whose rounding depends on the split, and
+        past P = 192 OpenBLAS's AVX-512 dgemm rounds the rows at a call's
+        edge apart (the one-call product itself changes with the number of
+        BLAS threads).
+        """
+        arr = np.asarray(inputs)
+        if arr.ndim == 3:
+            if mode == "materialized":
+                return self._project_images(arr)
+            arr = flatten_images(arr)
+        arr = np.asarray(arr, dtype=np.float64)
         single = arr.ndim == 1
         if single:
             arr = arr[None, :]
@@ -296,16 +324,50 @@ class Reservoir:
             raise ValueError(f"unknown mode {mode!r}")
         return z[0] if single else z
 
+    def _project_images(self, images: np.ndarray) -> np.ndarray:
+        if images.shape[1:] != (28, 28) or self.config.input_dim != INPUT_DIM:
+            raise ValueError(
+                f"expected (N, 28, 28) images for input_dim {INPUT_DIM}, got shape "
+                f"{images.shape} for input_dim {self.config.input_dim}"
+            )
+        w_t = self.matrix().T
+        n = images.shape[0]
+        pixels = images.reshape(n, INPUT_DIM - 1)
+        z = np.empty((n, self.config.reservoir_size), dtype=np.float64)
+        chunks = max(1, -(-n // PROJECTION_CHUNK_ROWS))
+        bounds = [k * n // chunks for k in range(chunks + 1)]
+        buf = np.empty((-(-n // chunks), INPUT_DIM), dtype=np.float64)
+        buf[:, 0] = 1.0
+        for start, stop in zip(bounds, bounds[1:]):
+            rows = buf[: stop - start]
+            np.divide(pixels[start:stop], 255.0, out=rows[:, 1:], dtype=np.float64)
+            np.matmul(rows, w_t, out=z[start:stop])
+        return z
+
     def fit(
         self, inputs: np.ndarray, mode: Literal["materialized", "streaming"] = "materialized"
     ) -> "Reservoir":
         """Gather per-neuron min/max over a training set."""
+        self._fit_statistics(self.preactivation(inputs, mode))
+        return self
+
+    def fit_transform(
+        self, inputs: np.ndarray, mode: Literal["materialized", "streaming"] = "materialized"
+    ) -> np.ndarray:
+        """``fit(inputs)`` then ``transform(inputs)`` from one projection.
+
+        The pre-activations are computed once, give the min/max statistics,
+        and are normalized in place before the sigmoid, so a training set is
+        projected once instead of twice.  Equal bit for bit to the two calls.
+        """
         z = self.preactivation(inputs, mode)
-        if z.ndim == 1:
-            z = z[None, :]
+        self._fit_statistics(z)
+        return self._squash(z)
+
+    def _fit_statistics(self, z: np.ndarray) -> None:
+        z = np.atleast_2d(z)
         self.z_min = z.min(axis=0)
         self.z_max = z.max(axis=0)
-        return self
 
     def set_statistics(self, z_min: np.ndarray, z_max: np.ndarray) -> "Reservoir":
         """Install previously fitted statistics (model deserialization)."""
@@ -320,14 +382,21 @@ class Reservoir:
     def transform(
         self, inputs: np.ndarray, mode: Literal["materialized", "streaming"] = "materialized"
     ) -> np.ndarray:
-        """Normalized, sigmoid-squashed reservoir output for input rows."""
+        """Normalized, sigmoid-squashed reservoir output for inputs as in
+        :meth:`preactivation`."""
         if not self.fitted:
             raise NotFittedError("reservoir normalization statistics are not fitted")
-        z = self.preactivation(inputs, mode)
+        return self._squash(self.preactivation(inputs, mode))
+
+    def _squash(self, z: np.ndarray) -> np.ndarray:
+        """Rescale ``z`` in place to [0, 1] per neuron, then apply the sigmoid;
+        a neuron whose fitted span is not positive maps to 0 (sigmoid 0.5)."""
         span = self.z_max - self.z_min
-        safe = np.where(span > 0, span, 1.0)
-        u = np.where(span > 0, (z - self.z_min) / safe, 0.0)
-        return sigmoid(u)
+        live = span > 0
+        z -= self.z_min
+        z /= np.where(live, span, 1.0)
+        z[..., ~live] = 0.0
+        return sigmoid(z)
 
 
 def export_matrix_csv(matrix: np.ndarray, path) -> None:

@@ -319,15 +319,19 @@ def _run(swarm, objective, callback, checkpoint_path) -> SwarmResult:
 
 def resume(
     objective: Callable[[np.ndarray], float],
-    checkpoint_path,
+    source,
     callback: Callable[[int, Swarm], None] | None = None,
+    checkpoint_path=None,
 ) -> SwarmResult:
-    """Continue an interrupted :func:`optimize` run from its checkpoint.
+    """Continue an interrupted :func:`optimize` run from the checkpoint file
+    ``source``.
 
     The checkpoint carries the trace and immigrant counts recorded so far,
-    so the result equals the uninterrupted run's (wall times aside).
+    so the result equals the uninterrupted run's (wall times aside).  As in
+    :func:`optimize`, the swarm is snapshotted to ``checkpoint_path`` after
+    every iteration when it is set; ``source`` is only read.
     """
-    swarm = load_checkpoint(checkpoint_path)
+    swarm = load_checkpoint(source)
     return _run(swarm, objective, callback, checkpoint_path)
 
 
@@ -433,22 +437,16 @@ def make_accuracy_objective(
     """Fitness of a search position for the map-parameter hunt.
 
     Trains on the optimization subset and scores accuracy on the full
-    training base.  A position whose map overflows or whose training
-    diverges is worth 0.
+    training base.  Both image sets are (N, 28, 28) uint8 grids and stay
+    so: each evaluation projects them in chunks, so no float copy of the
+    training base is held across the search.  A position whose map
+    overflows or whose training diverges is worth 0.
     """
     from chaosnet.network import TrainConfig, evaluate, train
-    from chaosnet.reservoir import ReservoirConfig, flatten_images
+    from chaosnet.reservoir import ReservoirConfig
 
     if train_config is None:
         train_config = TrainConfig()
-    subset_rows = (
-        flatten_images(subset_images) if np.asarray(subset_images).ndim == 3 else subset_images
-    )
-    validation_rows = (
-        flatten_images(validation_images)
-        if np.asarray(validation_images).ndim == 3
-        else validation_images
-    )
 
     def fitness(position: np.ndarray) -> float:
         params = params_from_position(position)
@@ -460,9 +458,9 @@ def make_accuracy_objective(
         )
         try:
             model = train(
-                subset_rows, subset_labels, architecture, config, train_config, mode=mode
+                subset_images, subset_labels, architecture, config, train_config, mode=mode
             )
-            return evaluate(model, validation_rows, validation_labels, mode=mode)
+            return evaluate(model, validation_images, validation_labels, mode=mode)
         except (MapOverflowError, TrainingDivergedError):
             return 0.0
 

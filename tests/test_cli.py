@@ -78,6 +78,27 @@ def test_train_smoke_writes_artifacts(synthetic_data_dir, tmp_path):
     assert manifest["config"]["architecture"]["P"] == 5
 
 
+def test_train_projects_each_dataset_once(synthetic_data_dir, tmp_path, monkeypatch):
+    from chaosnet.reservoir import Reservoir
+
+    projected = []
+    original = Reservoir.preactivation
+
+    def spy(self, inputs, mode="materialized"):
+        projected.append(len(inputs))
+        return original(self, inputs, mode)
+
+    monkeypatch.setattr(Reservoir, "preactivation", spy)
+    out = tmp_path / "out"
+    assert run(*train_smoke_args(synthetic_data_dir, out)) == EXIT_OK
+    # 80 training rows (statistics and features), then 50 test rows
+    # (accuracy and confusion matrix)
+    assert projected == [80, 50]
+    metrics = json.loads((out / "metrics.json").read_text())
+    confusion = np.asarray(metrics["confusion"])
+    assert metrics["test_accuracy"] == np.trace(confusion) / metrics["test_size"]
+
+
 def test_train_missing_data_dir_exits_3(tmp_path):
     empty = tmp_path / "nothing"
     empty.mkdir()
@@ -221,6 +242,30 @@ def test_optimize_resume_from_checkpoint(synthetic_data_dir, tmp_path, monkeypat
     rows = (out / "trace.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows[1:]] == ["0", "1", "2"]
     assert rows == (full_out / "trace.csv").read_text().splitlines()[1:]
+
+
+def test_optimize_resume_into_another_output_dir_keeps_its_input(
+    synthetic_data_dir, tmp_path, monkeypatch
+):
+    save = rpso.save_checkpoint
+
+    def save_then_interrupt(swarm, path):
+        save(swarm, path)
+        raise KeyboardInterrupt
+
+    source = tmp_path / "a"
+    monkeypatch.setattr(rpso, "save_checkpoint", save_then_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run(*optimize_smoke_args(synthetic_data_dir, source))
+    monkeypatch.undo()
+    interrupted = (source / "checkpoint.json").read_bytes()
+
+    target = tmp_path / "b"
+    args = optimize_smoke_args(synthetic_data_dir, target)
+    assert run(*args, "--resume", str(source / "checkpoint.json")) == EXIT_OK
+    # the input checkpoint is read, not written; the continued swarm lands in b/
+    assert (source / "checkpoint.json").read_bytes() == interrupted
+    assert rpso.load_checkpoint(target / "checkpoint.json").iteration == 2
 
 
 def test_optimize_resume_with_another_config_exits_2(synthetic_data_dir, tmp_path):

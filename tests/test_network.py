@@ -20,7 +20,7 @@ from chaosnet.network import (
     softmax,
     train,
 )
-from chaosnet.reservoir import FillMethod, ReservoirConfig, flatten_images
+from chaosnet.reservoir import FillMethod, ReservoirConfig
 
 from conftest import STABLE_PARAMS, make_balanced_band_images, make_band_images
 
@@ -240,7 +240,7 @@ def test_evaluate_rejects_empty_dataset(tiny_trained_model):
 
 def test_evaluate_single_correct_sample(tiny_trained_model):
     images, labels = make_band_images(50, seed=7)
-    predictions = tiny_trained_model.predict(flatten_images(images))
+    predictions = tiny_trained_model.predict(images)
     hit = int(np.argmax(predictions == labels))
     assert predictions[hit] == labels[hit]
     acc = evaluate(tiny_trained_model, images[hit : hit + 1], labels[hit : hit + 1])
@@ -251,6 +251,27 @@ def test_classifier_rejects_feature_width_mismatch():
     clf = Classifier(NetworkConfig(4, (), 10), rng=0)
     with pytest.raises(ValueError):
         clf.predict_proba(np.zeros((2, 5)))
+
+
+def test_train_and_evaluate_on_60k_images_stay_under_100_mb():
+    """The images stay uint8 (47 MB, allocated before tracing): no float
+    copy of the stack is made, only the 60k x 25 features are float."""
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    images = rng.integers(0, 256, size=(60_000, 28, 28), dtype=np.uint8)
+    labels = rng.integers(0, 10, size=60_000).astype(np.uint8)
+    config = ReservoirConfig(
+        method=FillMethod.from_id(4), params=STABLE_PARAMS, reservoir_size=25
+    )
+    tracemalloc.start()
+    try:
+        model = train(images, labels, Architecture(25), config, TrainConfig(max_epochs=1))
+        evaluate(model, images, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6, f"peak {peak / 1e6:.0f} MB"
 
 
 # ---------------------------------------------------------------- architecture
@@ -288,8 +309,7 @@ def test_model_round_trip_is_value_exact(tmp_path, tiny_trained_model):
     assert evaluate(back, images, labels) == evaluate(
         tiny_trained_model, images, labels
     )
-    rows = flatten_images(images)
-    assert np.array_equal(back.predict(rows), tiny_trained_model.predict(rows))
+    assert np.array_equal(back.predict(images), tiny_trained_model.predict(images))
 
 
 def test_load_rejects_unknown_format_version(tmp_path, tiny_trained_model):

@@ -12,6 +12,7 @@ from chaosnet.maps import MapOverflowError, MapParams, iterate_series
 from chaosnet.reservoir import (
     FILL_METHODS,
     INPUT_DIM,
+    PROJECTION_CHUNK_ROWS,
     SINE_INIT_Y0,
     FillMethod,
     NotFittedError,
@@ -291,6 +292,63 @@ def test_streaming_matches_materialized(reservoir_config, method_id):
     dense = res.preactivation(rows, mode="materialized")
     lean = res.preactivation(rows, mode="streaming")
     assert np.max(np.abs(dense - lean)) <= 1e-12
+
+
+# N around the chunk size and its multiples, where a fixed-size split would
+# leave a remainder of a few rows
+CHUNK_EDGE_COUNTS = [1, 2, 4095, 4096, 4097, 4098, 8193, 12000]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from(CHUNK_EDGE_COUNTS), st.integers(min_value=1, max_value=12000)),
+    size=st.integers(min_value=1, max_value=200),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=4097, size=1, seed=0)
+@example(n=4097, size=25, seed=0)
+@example(n=4097, size=193, seed=0)
+def test_chunked_image_projection_equals_the_flattened_product(n, size, seed):
+    assert PROJECTION_CHUNK_ROWS == 4096  # the edge counts above assume it
+    config = ReservoirConfig(
+        method=FillMethod.from_id(4), params=STABLE_PARAMS, reservoir_size=size
+    )
+    images = np.random.default_rng(seed).integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+    rows = flatten_images(images)
+    matrix = build_matrix(config)
+    expected = rows @ matrix.T
+    got = Reservoir(config).preactivation(images)
+    assert got.shape == expected.shape == (n, size)
+    if 2 <= size <= 192:
+        assert got.tobytes() == expected.tobytes()
+    else:
+        # P = 1 goes to gemv, whose rounding depends on how N is split; past
+        # one 192-row M block OpenBLAS's dgemm rounds a call's edge rows apart
+        scale = np.abs(rows) @ np.abs(matrix.T)
+        assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+
+
+def test_image_projection_rejects_bad_shapes(reservoir_config):
+    with pytest.raises(ValueError):
+        Reservoir(reservoir_config(reservoir_size=3)).preactivation(
+            np.zeros((2, 28, 27), dtype=np.uint8)
+        )
+    with pytest.raises(ValueError):
+        Reservoir(reservoir_config(reservoir_size=3, input_dim=10)).preactivation(
+            np.zeros((2, 28, 28), dtype=np.uint8)
+        )
+
+
+@pytest.mark.parametrize("mode", ["materialized", "streaming"])
+def test_fit_transform_equals_fit_then_transform(reservoir_config, mode):
+    images = np.random.default_rng(11).integers(0, 256, size=(7, 28, 28), dtype=np.uint8)
+    config = reservoir_config(method_id=3, reservoir_size=6)
+    once = Reservoir(config)
+    features = once.fit_transform(images, mode)
+    twice = Reservoir(config).fit(flatten_images(images), mode)
+    assert features.tobytes() == twice.transform(flatten_images(images), mode).tobytes()
+    assert once.z_min.tobytes() == twice.z_min.tobytes()
+    assert once.z_max.tobytes() == twice.z_max.tobytes()
 
 
 # ---------------------------------------------------------------- transform
