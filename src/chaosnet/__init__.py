@@ -8,9 +8,9 @@ with a random-immigrant particle swarm, and ships analysis tools
 time series.
 """
 
-from chaosnet.maps import MapParams, MapOverflowError, henon_step, iterate_series, logistic_step
+from chaosnet.maps import MapParams, MapOverflowError, iterate_series
 from chaosnet.reservoir import FillMethod, ReservoirConfig, Reservoir, flatten_image, build_matrix
-from chaosnet.network import Architecture, TrainConfig, NetworkModel, train, forward, evaluate
+from chaosnet.network import Architecture, TrainConfig, NetworkModel, train, evaluate
 from chaosnet.rpso import SwarmConfig, Swarm, optimize
 from chaosnet.analysis import ApEnConfig, SweepConfig, approximate_entropy, poincare_pairs, bifurcation_sweep
 from chaosnet.mnist import LabeledDataset, SplitPlan, load_idx, make_split
@@ -21,9 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MapParams",
     "MapOverflowError",
-    "henon_step",
     "iterate_series",
-    "logistic_step",
     "FillMethod",
     "ReservoirConfig",
     "Reservoir",
@@ -33,7 +31,6 @@ __all__ = [
     "TrainConfig",
     "NetworkModel",
     "train",
-    "forward",
     "evaluate",
     "SwarmConfig",
     "Swarm",

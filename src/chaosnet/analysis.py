@@ -8,6 +8,7 @@ the two can be rank-correlated across a parameter sweep.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -15,13 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from chaosnet.maps import (
-    CLAMP_LIMIT,
-    CLAMP_REPLACEMENT,
-    MapOverflowError,
-    MapParams,
-    iterate_series,
-)
+from chaosnet.maps import MapOverflowError, MapParams, iterate_series, orbit
 from chaosnet.reservoir import FillMethod, ReservoirConfig, build_matrix
 
 DEFAULT_M = 2
@@ -126,27 +121,19 @@ def poincare_pairs(
     """(x, y) states of ``count`` successive iterates after the warm-up.
 
     The initial condition defaults to (A, B); ``params.preliminary_iterations``
-    steps are discarded first.  Returned as a (count, 2) array.
+    steps are discarded first.  The x of a state is the previous y: the last
+    warm-up y, or ``y0`` when there is no warm-up.  Returned as a (count, 2)
+    array.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     x = params.A if x0 is None else float(x0)
     y = params.B if y0 is None else float(y0)
-    a1, a2, a3, a4 = params.a1, params.a2, params.a3, params.a4
-    pairs = np.empty((count, 2), dtype=np.float64)
-    step = 0
-    total_warm = params.preliminary_iterations
-    for i in range(total_warm + count):
-        step += 1
-        x, y = y, x + a1 * x * x + a2 * y * y - a3 * x * y - a4
-        if params.clamp_enabled:
-            if not (abs(y) <= CLAMP_LIMIT):
-                y = CLAMP_REPLACEMENT
-        elif not math.isfinite(y):
-            raise MapOverflowError(step, y)
-        if i >= total_warm:
-            pairs[i - total_warm] = (x, y)
-    return pairs
+    warm = params.preliminary_iterations
+    # y0, then the iterates: the y of step k at index k
+    ys = itertools.islice(itertools.chain((y,), orbit(params, x, y)), warm, warm + count + 1)
+    ys = np.fromiter(ys, np.float64, count + 1)
+    return np.column_stack((ys[:-1], ys[1:]))
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,23 @@
-"""Discrete chaotic maps that generate the reservoir weight streams.
+"""The discrete chaotic map that generates the reservoir weight streams.
 
-The workhorse is a quadratic two-dimensional map of Henon type,
+The map is quadratic, two-dimensional and of Henon type,
 
     x' = y
     y' = x + a1*x^2 + a2*y^2 - a3*x*y - a4,
 
 iterated in 64-bit floats.  An optional guard replaces any y-iterate whose
 magnitude exceeds 10 with 1, which keeps otherwise divergent coefficient
-choices usable.  A plain logistic map is included for baseline comparisons.
+choices usable.  :func:`orbit` is the one place the step and its
+clamp/overflow rule are written: the weight matrix, streaming mode and the
+analysis tools all read their iterates from it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -37,11 +40,6 @@ class MapOverflowError(ArithmeticError):
         self.iteration = iteration
         self.value = value
         super().__init__(f"map iterate {iteration} is non-finite ({value!r})")
-
-
-class MapState(NamedTuple):
-    x: float
-    y: float
 
 
 @dataclass(frozen=True)
@@ -80,22 +78,29 @@ class MapParams:
         return _replace(self, **changes)
 
 
-def henon_step(state: MapState | tuple[float, float], params: MapParams) -> MapState:
-    """Advance the quadratic map one step.
+def orbit(params: MapParams, x: float, y: float) -> Iterator[float]:
+    """Yield the y-iterates of the map from ``(x, y)``, forever.
 
-    The guard applies to the new y only; x is never clamped.  With clamping
-    disabled a non-finite result raises :class:`MapOverflowError`.
+    Step k (counted from 1) yields the k-th new y; the previous y is the
+    next step's x, so x is never clamped.  With clamping enabled a y whose
+    magnitude is not <= 10 (NaN included) is replaced by 1; with clamping
+    disabled a non-finite y raises :class:`MapOverflowError` carrying its
+    step.  ``params.preliminary_iterations`` is not applied here: consumers
+    skip the warm-up themselves, e.g. with ``islice``.
     """
-    x, y = state
-    y_next = x + params.a1 * x * x + params.a2 * y * y - params.a3 * x * y - params.a4
-    if params.clamp_enabled:
-        # `not <=` rather than `>` so a NaN produced from extreme inputs is
-        # also replaced instead of silently propagating
-        if not (abs(y_next) <= CLAMP_LIMIT):
-            y_next = CLAMP_REPLACEMENT
-    elif not math.isfinite(y_next):
-        raise MapOverflowError(1, y_next)
-    return MapState(y, y_next)
+    a1, a2, a3, a4 = params.a1, params.a2, params.a3, params.a4
+    clamp = params.clamp_enabled
+    x, y = float(x), float(y)
+    for step in itertools.count(1):
+        x, y = y, x + a1 * x * x + a2 * y * y - a3 * x * y - a4
+        if clamp:
+            # `not <=` rather than `>` so a NaN produced from extreme inputs is
+            # also replaced instead of silently propagating
+            if not (abs(y) <= CLAMP_LIMIT):
+                y = CLAMP_REPLACEMENT
+        elif not math.isfinite(y):
+            raise MapOverflowError(step, y)
+        yield y
 
 
 def iterate_series(
@@ -109,33 +114,6 @@ def iterate_series(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    a1, a2, a3, a4 = params.a1, params.a2, params.a3, params.a4
-    clamp = params.clamp_enabled
-    x, y = float(x0), float(y0)
-    out = np.empty(count, dtype=np.float64)
-
-    step = 0
-    for _ in range(params.preliminary_iterations):
-        step += 1
-        x, y = y, x + a1 * x * x + a2 * y * y - a3 * x * y - a4
-        if clamp:
-            if not (abs(y) <= CLAMP_LIMIT):
-                y = CLAMP_REPLACEMENT
-        elif not math.isfinite(y):
-            raise MapOverflowError(step, y)
-
-    for i in range(count):
-        step += 1
-        x, y = y, x + a1 * x * x + a2 * y * y - a3 * x * y - a4
-        if clamp:
-            if not (abs(y) <= CLAMP_LIMIT):
-                y = CLAMP_REPLACEMENT
-        elif not math.isfinite(y):
-            raise MapOverflowError(step, y)
-        out[i] = y
-    return out
-
-
-def logistic_step(x: float, r: float) -> float:
-    """One iterate of the logistic map r*x*(1-x)."""
-    return r * x * (1.0 - x)
+    warm = params.preliminary_iterations
+    ys = itertools.islice(orbit(params, x0, y0), warm, warm + count)
+    return np.fromiter(ys, np.float64, count)

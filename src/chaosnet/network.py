@@ -40,22 +40,44 @@ class TrainingDivergedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class NetworkConfig:
-    input_size: int
-    hidden_sizes: tuple[int, ...] = ()
-    output_size: int = 10
+class Architecture:
+    """input:P:10 or input:P:H:10 shape of the trainable part.
+
+    The P reservoir features feed an optional sigmoid hidden layer of
+    ``hidden_size`` units and a softmax output over ``n_classes``.
+    """
+
+    reservoir_size: int
+    hidden_size: int | None = None
+    n_classes: int = 10
 
     def __post_init__(self):
-        sizes = (self.input_size, *self.hidden_sizes, self.output_size)
-        if any(s < 1 for s in sizes):
-            raise ValueError(f"layer sizes must be >= 1, got {sizes}")
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+        if self.reservoir_size < 1:
+            raise ValueError(f"reservoir_size must be >= 1, got {self.reservoir_size}")
+        if self.hidden_size is not None and self.hidden_size < 1:
+            raise ValueError(f"hidden_size must be >= 1 when present, got {self.hidden_size}")
+        if self.n_classes < 2:
+            raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
+
+    @property
+    def hidden_sizes(self) -> tuple[int, ...]:
+        return () if self.hidden_size is None else (self.hidden_size,)
 
     @property
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(out, in + 1) for every trainable weight matrix."""
-        dims = (self.input_size, *self.hidden_sizes, self.output_size)
+        dims = (self.reservoir_size, *self.hidden_sizes, self.n_classes)
         return [(dims[i + 1], dims[i] + 1) for i in range(len(dims) - 1)]
+
+    def describe(self, input_pixels: int = 784) -> str:
+        if self.hidden_size is None:
+            return f"{input_pixels}:{self.reservoir_size}:{self.n_classes}"
+        return f"{input_pixels}:{self.reservoir_size}:{self.hidden_size}:{self.n_classes}"
+
+    @property
+    def weight_count(self) -> int:
+        """Trainable values including bias columns."""
+        return sum(out * fan for out, fan in self.layer_shapes)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -84,7 +106,7 @@ def _augment(x: np.ndarray) -> np.ndarray:
 class Classifier:
     """Dense softmax classifier with zero or more sigmoid hidden layers."""
 
-    def __init__(self, config: NetworkConfig, rng: np.random.Generator | int | None = None):
+    def __init__(self, config: Architecture, rng: np.random.Generator | int | None = None):
         self.config = config
         rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
         self.weights: list[np.ndarray] = []
@@ -99,9 +121,9 @@ class Classifier:
         acts = np.asarray(features, dtype=np.float64)
         if acts.ndim == 1:
             acts = acts[None, :]
-        if acts.shape[1] != self.config.input_size:
+        if acts.shape[1] != self.config.reservoir_size:
             raise ValueError(
-                f"expected {self.config.input_size} input features, got {acts.shape[1]}"
+                f"expected {self.config.reservoir_size} input features, got {acts.shape[1]}"
             )
         layer_inputs = []
         for i, w in enumerate(self.weights):
@@ -196,18 +218,19 @@ class Classifier:
 
     def to_dict(self) -> dict:
         return {
-            "input_size": self.config.input_size,
+            "input_size": self.config.reservoir_size,
             "hidden_sizes": list(self.config.hidden_sizes),
-            "output_size": self.config.output_size,
+            "output_size": self.config.n_classes,
             "weights": [w.tolist() for w in self.weights],
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Classifier":
-        config = NetworkConfig(
-            input_size=int(payload["input_size"]),
-            hidden_sizes=tuple(payload["hidden_sizes"]),
-            output_size=int(payload["output_size"]),
+        hidden = payload["hidden_sizes"]  # more than one fails the shape check below
+        config = Architecture(
+            reservoir_size=int(payload["input_size"]),
+            hidden_size=int(hidden[0]) if hidden else None,
+            n_classes=int(payload["output_size"]),
         )
         model = cls(config, rng=0)
         weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
@@ -256,37 +279,6 @@ def gradient_check(
 
 
 @dataclass(frozen=True)
-class Architecture:
-    """input:P:10 or input:P:H:10 shape of the trainable part."""
-
-    reservoir_size: int
-    hidden_size: int | None = None
-    n_classes: int = 10
-
-    def __post_init__(self):
-        if self.reservoir_size < 1:
-            raise ValueError(f"reservoir_size must be >= 1, got {self.reservoir_size}")
-        if self.hidden_size is not None and self.hidden_size < 1:
-            raise ValueError(f"hidden_size must be >= 1 when present, got {self.hidden_size}")
-        if self.n_classes < 2:
-            raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
-
-    def network_config(self) -> NetworkConfig:
-        hidden = () if self.hidden_size is None else (self.hidden_size,)
-        return NetworkConfig(self.reservoir_size, hidden, self.n_classes)
-
-    def describe(self, input_pixels: int = 784) -> str:
-        if self.hidden_size is None:
-            return f"{input_pixels}:{self.reservoir_size}:{self.n_classes}"
-        return f"{input_pixels}:{self.reservoir_size}:{self.hidden_size}:{self.n_classes}"
-
-    @property
-    def weight_count(self) -> int:
-        """Trainable values including bias columns."""
-        return sum(out * fan for out, fan in self.network_config().layer_shapes)
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     max_epochs: int = DEFAULT_EPOCHS
     learning_rate: float = DEFAULT_LEARNING_RATE
@@ -309,8 +301,8 @@ class NetworkModel:
                  classifier: Classifier, training_meta: dict | None = None):
         if not isinstance(reservoir, Reservoir):
             raise TypeError("reservoir must be a Reservoir instance")
-        if classifier.config.input_size != architecture.reservoir_size:
-            raise ValueError("classifier input size does not match the architecture")
+        if classifier.config != architecture:
+            raise ValueError("classifier does not match the architecture")
         self.architecture = architecture
         self.reservoir = reservoir
         self.classifier = classifier
@@ -321,12 +313,6 @@ class NetworkModel:
         uint8 images; materialized images are projected in chunks, never
         flattened as a whole (see :meth:`Reservoir.preactivation`)."""
         return self.reservoir.transform(inputs, mode)
-
-    def forward(self, inputs: np.ndarray, mode: str = "materialized") -> np.ndarray:
-        """Class probability vector(s) for 785-dimensional input(s)."""
-        if not self.reservoir.fitted:
-            raise NotFittedError("model reservoir statistics are not fitted")
-        return self.classifier.predict_proba(self.features(inputs, mode))
 
     def predict(self, inputs: np.ndarray, mode: str = "materialized"):
         return self.classifier.predict(np.atleast_2d(self.features(inputs, mode)))
@@ -356,7 +342,7 @@ def train(
     features = reservoir.fit_transform(images, mode)
 
     rng = np.random.default_rng(train_config.rng_seed)
-    classifier = Classifier(architecture.network_config(), rng)
+    classifier = Classifier(architecture, rng)
     history = classifier.train_sgd(
         features,
         labels,
@@ -388,10 +374,6 @@ def evaluate(model: NetworkModel, images: np.ndarray, labels: np.ndarray,
         raise ValueError("evaluation dataset is empty")
     predictions = model.predict(images, mode)
     return float((predictions == labels).mean())
-
-
-def forward(model: NetworkModel, inputs: np.ndarray, mode: str = "materialized") -> np.ndarray:
-    return model.forward(inputs, mode)
 
 
 def save_model(model: NetworkModel, path) -> None:
@@ -448,14 +430,12 @@ def load_model(path) -> NetworkModel:
 
 
 __all__ = [
-    "NetworkConfig",
     "Classifier",
     "Architecture",
     "TrainConfig",
     "NetworkModel",
     "train",
     "evaluate",
-    "forward",
     "save_model",
     "load_model",
     "softmax",

@@ -1,15 +1,18 @@
 """Input-weight construction and the fixed reservoir transform.
 
-A P x 785 weight matrix is generated from a map orbit by one of six filling
-methods.  Constant-init methods write a single orbit into the matrix in
-snake order (first row left to right, second right to left, alternating);
-sine-init methods seed one independent orbit per column from a sine profile
-and store one y-iterate per row.  The transform computes f(W @ Y) either
-from the materialized matrix or in streaming mode, which regenerates the
-entries on the fly and never stores the matrix: its working state is the
-six map scalars plus one accumulator per reservoir neuron.  A single input
-is streamed without a copy and its P sums are Python floats; a batch keeps
-a (P, M) numpy block.  Both give identical sums for the same row.
+A P x 785 weight matrix is generated from map orbits by one of six filling
+methods.  :func:`_fill_lines` is the one description of the fill order:
+constant-init methods run a single orbit across the rows in snake order
+(first row left to right, second right to left, alternating); sine-init
+methods seed one orbit per column from a sine profile and store the
+initial x in row 0 and one y-iterate per row below it.  The transform
+computes f(W @ Y) either from the materialized matrix or in streaming
+mode, which reads the same fill stream and never stores the matrix: its
+working state is the six map scalars plus one accumulator per reservoir
+neuron.  Both consumers therefore see the same weights bit for bit.  A
+single input is streamed without a copy and its P sums are Python floats;
+a batch keeps a (P, M) numpy block.  Both give identical sums for the same
+row.
 
 A stack of (N, 28, 28) images is projected in materialized mode without a
 float copy of the stack: chunks of pixels are scaled into one reused
@@ -18,28 +21,19 @@ float copy of the stack: chunks of pixels are scaled into one reused
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Iterator, Literal
 
 import numpy as np
 
-from chaosnet.maps import (
-    CLAMP_LIMIT,
-    CLAMP_REPLACEMENT,
-    TRANSIENT_ITERATIONS,
-    MapOverflowError,
-    MapParams,
-    iterate_series,
-)
+from chaosnet.maps import TRANSIENT_ITERATIONS, MapParams, orbit
 
 INPUT_DIM = 785  # 784 pixels + bias slot 0
 MODES = ("materialized", "streaming")  # evaluation modes of Reservoir.preactivation
 SINE_INIT_Y0 = 0.51
 PROJECTION_CHUNK_ROWS = 4096  # most image rows scaled and multiplied at once
-
-# first row of a snake fill runs left to right; flip for the opposite convention
-SNAKE_FIRST_ROW_LEFT_TO_RIGHT = True
 
 
 class NotFittedError(RuntimeError):
@@ -131,68 +125,59 @@ def flatten_images(images) -> np.ndarray:
     return out
 
 
+def _fill_lines(
+    config: ReservoirConfig,
+) -> Iterator[tuple[int | slice, int | slice, Iterator[float]]]:
+    """The weights of W in fill order, one line at a time.
+
+    Yields ``(rows, cols, weights)``: ``W[rows, cols]`` are the next entries
+    and ``weights`` yields their values in the order of that index.  A
+    constant-init line is one row of W, ``(p, slice, weights)``, its column
+    slice running forwards on even rows and backwards on odd ones; one orbit
+    from (A, B) runs through all rows after the warm-up.  A sine-init line
+    is one column of W, ``(slice(None), i, weights)``: the column's initial
+    x, then the first P - 1 iterates of its own orbit from (x, 0.51).  Each
+    line's weights must be consumed before the next line is requested.
+    """
+    params = config.effective_params
+    p_rows, dim = config.reservoir_size, config.input_dim
+    if config.method.init_kind == "constant":
+        ys = orbit(params, params.A, params.B)
+        warm = params.preliminary_iterations
+        next(itertools.islice(ys, warm, warm), None)  # run the warm-up steps
+        for p in range(p_rows):
+            yield p, slice(None, None, -1 if p % 2 else 1), itertools.islice(ys, dim)
+    else:
+        cols = np.arange(dim, dtype=np.float64)
+        inits = (params.A * np.sin(cols / (dim - 1) * (math.pi / params.B))).tolist()
+        for i, x in enumerate(inits):
+            iterates = itertools.islice(orbit(params, x, SINE_INIT_Y0), p_rows - 1)
+            yield slice(None), i, itertools.chain((x,), iterates)
+
+
 def build_matrix(config: ReservoirConfig) -> np.ndarray:
     """Materialize the P x input_dim weight matrix for ``config``."""
-    if config.method.init_kind == "constant":
-        return _build_constant(config)
-    return _build_sine(config)
-
-
-def _build_constant(config: ReservoirConfig) -> np.ndarray:
-    params = config.effective_params
-    p_rows, dim = config.reservoir_size, config.input_dim
-    series = iterate_series(params, params.A, params.B, p_rows * dim)
-    w = series.reshape(p_rows, dim).copy()
-    start = 0 if SNAKE_FIRST_ROW_LEFT_TO_RIGHT else 1
-    w[1 - start :: 2] = w[1 - start :: 2, ::-1]
-    return w
-
-
-def _build_sine(config: ReservoirConfig) -> np.ndarray:
-    params = config.effective_params
-    p_rows, dim = config.reservoir_size, config.input_dim
-    a1, a2, a3, a4 = params.a1, params.a2, params.a3, params.a4
-
-    w = np.empty((p_rows, dim), dtype=np.float64)
-    cols = np.arange(dim, dtype=np.float64)
-    x = params.A * np.sin(cols / (dim - 1) * (math.pi / params.B))
-    y = np.full(dim, SINE_INIT_Y0)
-    w[0] = x  # first row stores the initial x values themselves
-    # overflow surfaces as an exception below, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(1, p_rows):
-            x, y = y, x + a1 * x * x + a2 * y * y - a3 * x * y - a4
-            if params.clamp_enabled:
-                y = np.where(np.abs(y) <= CLAMP_LIMIT, y, CLAMP_REPLACEMENT)
-            w[r] = y
-    if not params.clamp_enabled:
-        bad = ~np.isfinite(w)
-        if bad.any():
-            # the fill order is per column: report the first bad row of the
-            # lowest bad column, the overflow streaming meets first
-            col = int(np.argmax(bad.any(axis=0)))
-            row = int(np.argmax(bad[:, col]))
-            raise MapOverflowError(row, float(w[row, col]))
+    w = np.empty((config.reservoir_size, config.input_dim), dtype=np.float64)
+    for rows, cols, weights in _fill_lines(config):
+        w[rows, cols] = np.fromiter(weights, np.float64)
     return w
 
 
 def _stream_preactivation(config: ReservoirConfig, columns: np.ndarray) -> np.ndarray:
-    """W @ Y without materializing W.
+    """W @ Y without materializing W, reading the weights from :func:`_fill_lines`.
 
     ``columns`` has shape (input_dim, M); the return value is (P, M).  Only
     the map scalars, one scratch state and the P sums are held, so per input
     the storage is the six parameters plus P sums, independent of the input
-    dimension.  A single input (M == 1) is read through a memoryview of its
+    dimension for constant methods; sine methods also hold the input_dim
+    initial x values, as many as one input has.  A single input (M == 1) is read through a memoryview of its
     contiguous column, without a copy, and its P sums are a list of Python
     floats; a batch keeps a (P, M) numpy block.  Both containers run the
     same loop body, and Python floats and float64 elements perform the same
     IEEE operations in the same order, so a row gives identical sums alone
     and inside a batch.
     """
-    params = config.effective_params
-    p_rows, dim = config.reservoir_size, config.input_dim
-    a1, a2, a3, a4 = params.a1, params.a2, params.a3, params.a4
-    clamp = params.clamp_enabled
+    p_rows = config.reservoir_size
     single = columns.shape[1] == 1
     if single:
         # numpy calls on 1-element arrays cost ten times the map step itself
@@ -202,59 +187,39 @@ def _stream_preactivation(config: ReservoirConfig, columns: np.ndarray) -> np.nd
         acc = np.zeros((p_rows, columns.shape[1]), dtype=np.float64)
 
     if config.method.init_kind == "constant":
-        x, y = params.A, params.B
-        step = 0
-        for _ in range(params.preliminary_iterations):
-            step += 1
-            x, y = y, x + a1 * x * x + a2 * y * y - a3 * x * y - a4
-            if clamp:
-                if not (abs(y) <= CLAMP_LIMIT):
-                    y = CLAMP_REPLACEMENT
-            elif not math.isfinite(y):
-                raise MapOverflowError(step, y)
-        forward = SNAKE_FIRST_ROW_LEFT_TO_RIGHT
-        for p in range(p_rows):
+        # a line is one row of W: its weights meet the inputs in its column order
+        for p, cols, weights in _fill_lines(config):
             acc_p = acc[p]
-            col_order = range(dim) if forward else range(dim - 1, -1, -1)
-            for col in col_order:
-                step += 1
-                x, y = y, x + a1 * x * x + a2 * y * y - a3 * x * y - a4
-                if clamp:
-                    if not (abs(y) <= CLAMP_LIMIT):
-                        y = CLAMP_REPLACEMENT
-                elif not math.isfinite(y):
-                    raise MapOverflowError(step, y)
-                acc_p += y * columns[col]
+            for y, col in zip(weights, columns[cols]):
+                acc_p += y * col
             acc[p] = acc_p  # a float sum was rebound, a numpy row updated in place
-            forward = not forward
     else:
-        pi_over_b = math.pi / params.B
-        amp = params.A
-        for i in range(dim):
-            x = amp * math.sin(i / (dim - 1) * pi_over_b)
-            y = SINE_INIT_Y0
+        # a line is one whole column of W, row 0 first: its weights scale one
+        # input into every sum
+        for _, i, weights in _fill_lines(config):
             col = columns[i]
-            acc[0] += x * col
-            for r in range(1, p_rows):
-                x, y = y, x + a1 * x * x + a2 * y * y - a3 * x * y - a4
-                if clamp:
-                    if not (abs(y) <= CLAMP_LIMIT):
-                        y = CLAMP_REPLACEMENT
-                elif not math.isfinite(y):
-                    raise MapOverflowError(r, y)
+            for r, y in enumerate(weights):
                 acc[r] += y * col
     return np.array(acc)[:, None] if single else acc
 
 
+def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
+    """Overwrite ``z`` with its logistic function and return it.
+
+    With e = exp(-|z|) the value is 1 / (1 + e) where z >= 0 and e / (1 + e)
+    elsewhere, so no exp overflows.  Besides ``z`` it holds one boolean mask
+    and one float temporary (1 + e).
+    """
+    pos = z >= 0
+    np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
+    denom = 1.0 + z
+    np.copyto(z, 1.0, where=pos)  # numerator: 1 where z >= 0, e elsewhere
+    return np.divide(z, denom, out=z)
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function, stable for large |z|."""
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return _sigmoid_in_place(np.array(z, dtype=np.float64))
 
 
 class Reservoir:
@@ -396,17 +361,4 @@ class Reservoir:
         z -= self.z_min
         z /= np.where(live, span, 1.0)
         z[..., ~live] = 0.0
-        return sigmoid(z)
-
-
-def export_matrix_csv(matrix: np.ndarray, path) -> None:
-    """Write a weight matrix as comma-separated rows, 17 significant digits."""
-    w = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w", encoding="ascii") as fh:
-        for row in w:
-            fh.write(",".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
-
-
-def import_matrix_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        return _sigmoid_in_place(z)

@@ -21,7 +21,6 @@ from chaosnet.maps import MapParams
 from chaosnet.network import (
     Architecture,
     Classifier,
-    NetworkConfig,
     NetworkModel,
     OPTIMIZATION_MAX_EPOCHS,
     TrainConfig,
@@ -201,7 +200,7 @@ def test_criterion_05_gradient_checks_stay_under_1e_minus_4():
     for trial in range(20):
         p = int(rng.integers(2, 11))
         hidden = () if trial % 2 == 0 else (int(rng.integers(2, 9)),)
-        clf = Classifier(NetworkConfig(p, hidden, 10), rng=int(rng.integers(1 << 30)))
+        clf = Classifier(Architecture(p, *hidden), rng=int(rng.integers(1 << 30)))
         features = rng.random((6, p))
         labels = rng.integers(0, 10, size=6)
         worst = max(worst, gradient_check(clf, features, labels))
@@ -351,7 +350,7 @@ def test_criterion_09_streaming_footprint_is_constant():
         )
         arch = Architecture(p)
         model = NetworkModel(
-            arch, Reservoir(config), Classifier(arch.network_config(), rng=0)
+            arch, Reservoir(config), Classifier(arch, rng=0)
         )
         counts[p] = footprint(model, mode="streaming").reservoir_parameter_count
     delta = map_parameter_delta()

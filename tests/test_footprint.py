@@ -23,7 +23,7 @@ def model_with_reservoir_size(p):
         method=FillMethod.from_id(6), params=STABLE_PARAMS, reservoir_size=p
     )
     arch = Architecture(p)
-    return NetworkModel(arch, Reservoir(config), Classifier(arch.network_config(), rng=0))
+    return NetworkModel(arch, Reservoir(config), Classifier(arch, rng=0))
 
 
 def test_streaming_footprint_counts_only_map_parameters():
@@ -52,7 +52,7 @@ def test_hidden_layer_expands_classifier_count():
     )
     arch = Architecture(100, 60)
     model = NetworkModel(
-        arch, Reservoir(config), Classifier(arch.network_config(), rng=0)
+        arch, Reservoir(config), Classifier(arch, rng=0)
     )
     report = footprint(model)
     assert report.classifier_weight_count == 60 * 101 + 10 * 61

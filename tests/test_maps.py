@@ -7,15 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaosnet.maps import (
-    CLAMP_LIMIT,
-    MapOverflowError,
-    MapParams,
-    MapState,
-    henon_step,
-    iterate_series,
-    logistic_step,
-)
+from chaosnet.analysis import poincare_pairs
+from chaosnet.maps import CLAMP_LIMIT, MapOverflowError, MapParams, iterate_series
 
 # Fig-style coefficient set used for the hand-derived iterates below
 FIXED = dict(a1=1.0, a2=1.0, a3=1.51, a4=0.74, A=-0.81, B=0.51)
@@ -26,41 +19,41 @@ HAND_ITERATES = [-0.010019, 0.037916012261, -0.74790737605769082958]
 
 
 class TestHenonStep:
+    """One step of the map, read through ``iterate_series`` (the new y) and
+    ``poincare_pairs`` (the whole (x, y) state)."""
+
     def test_hand_derived_step(self):
         params = MapParams(**FIXED)
-        x1, y1 = henon_step(MapState(-0.81, 0.51), params)
+        ((x1, y1),) = poincare_pairs(params, 1, x0=-0.81, y0=0.51)
         assert x1 == 0.51
         assert abs(y1 - (-0.010019)) < 1e-12
 
     def test_degenerates_to_swap_when_coefficients_vanish(self):
         params = MapParams(a1=0, a2=0, a3=0, a4=0, A=0, B=0)
-        assert henon_step((0.3, 0.7), params) == (0.7, 0.3)
+        assert poincare_pairs(params, 1, x0=0.3, y0=0.7).tolist() == [[0.7, 0.3]]
         # applying it twice returns the original state
-        state = MapState(-1.25, 4.0)
-        assert henon_step(henon_step(state, params), params) == state
+        assert poincare_pairs(params, 2, x0=-1.25, y0=4.0)[1].tolist() == [-1.25, 4.0]
 
     def test_clamp_replaces_large_y_with_one(self):
         # raw y' = 12 via x=12, all coefficients zero except a4=0
         params = MapParams(a1=0, a2=0, a3=0, a4=0, A=0, B=0, clamp_enabled=True)
-        _, y1 = henon_step((12.0, 0.0), params)
-        assert y1 == 1.0
+        assert iterate_series(params, 12.0, 0.0, 1).tolist() == [1.0]
         # negative side clamps to +1 as well
-        _, y1 = henon_step((-12.0, 0.0), params)
-        assert y1 == 1.0
+        assert iterate_series(params, -12.0, 0.0, 1).tolist() == [1.0]
 
     def test_clamp_boundary_is_exclusive(self):
         params = MapParams(a1=0, a2=0, a3=0, a4=0, A=0, B=0, clamp_enabled=True)
-        _, y1 = henon_step((10.0, 0.0), params)
-        assert y1 == 10.0
+        assert iterate_series(params, 10.0, 0.0, 1).tolist() == [10.0]
 
     def test_overflow_raises_without_clamp(self):
         params = MapParams(a1=1.0, a2=0, a3=0, a4=0, A=0, B=0)
-        with pytest.raises(MapOverflowError):
-            henon_step((1e200, 0.0), params)
+        with pytest.raises(MapOverflowError) as exc:
+            iterate_series(params, 1e200, 0.0, 1)
+        assert exc.value.iteration == 1
 
     def test_x_is_never_clamped(self):
         params = MapParams(a1=0, a2=0, a3=0, a4=0, A=0, B=0, clamp_enabled=True)
-        x1, _ = henon_step((0.0, 25.0), params)
+        ((x1, _),) = poincare_pairs(params, 1, x0=0.0, y0=25.0)
         assert x1 == 25.0
 
 
@@ -77,11 +70,12 @@ class TestIterateSeries:
 
     def test_matches_repeated_single_steps(self):
         params = MapParams(**FIXED)
-        state = MapState(-0.81, 0.51)
+        a1, a2, a3, a4 = params.a1, params.a2, params.a3, params.a4
+        x, y = -0.81, 0.51
         expected = []
         for _ in range(50):
-            state = henon_step(state, params)
-            expected.append(state.y)
+            x, y = y, x + a1 * x * x + a2 * y * y - a3 * x * y - a4
+            expected.append(y)
         np.testing.assert_array_equal(iterate_series(params, -0.81, 0.51, 50), expected)
 
     def test_deterministic(self):
@@ -144,15 +138,3 @@ class TestMapParamsValidation:
     def test_rejects_negative_transient(self):
         with pytest.raises(ValueError):
             MapParams(a1=0, a2=0, a3=0, a4=0, A=0, B=0, preliminary_iterations=-1)
-
-
-class TestLogisticStep:
-    def test_zero_fixed_point(self):
-        for r in (0.5, 2.0, 3.7, 4.0):
-            assert logistic_step(0.0, r) == 0.0
-
-    def test_parabola_peak(self):
-        assert logistic_step(0.5, 4.0) == 1.0
-
-    def test_hand_value(self):
-        assert abs(logistic_step(0.2, 3.7) - 0.592) < 1e-12

@@ -8,7 +8,6 @@ import pytest
 from chaosnet.network import (
     Architecture,
     Classifier,
-    NetworkConfig,
     TrainConfig,
     TrainingDivergedError,
     cross_entropy,
@@ -63,7 +62,7 @@ def test_cross_entropy_hand_value():
 
 @pytest.mark.parametrize("hidden", [(), (4,)])
 def test_zero_weights_give_uniform_probabilities(hidden):
-    clf = Classifier(NetworkConfig(5, hidden, 10), rng=0)
+    clf = Classifier(Architecture(5, *hidden), rng=0)
     clf.weights = [np.zeros_like(w) for w in clf.weights]
     probs = clf.predict_proba(np.random.default_rng(1).random((6, 5)))
     assert np.allclose(probs, 0.1, atol=1e-15)
@@ -71,7 +70,7 @@ def test_zero_weights_give_uniform_probabilities(hidden):
 
 def test_hand_computed_forward_pass():
     """Explicit weights, two features, three classes, worked by hand."""
-    clf = Classifier(NetworkConfig(2, (), 3), rng=0)
+    clf = Classifier(Architecture(2, n_classes=3), rng=0)
     # rows = classes, columns = [w_feature1, w_feature2, bias]
     clf.weights = [
         np.array(
@@ -98,7 +97,7 @@ def test_hand_computed_forward_pass():
 
 
 def test_initial_weights_are_scaled_uniform():
-    clf = Classifier(NetworkConfig(25, (), 10), rng=0)
+    clf = Classifier(Architecture(25), rng=0)
     (w,) = clf.weights
     assert w.shape == (10, 26)
     bound = 0.5 / math.sqrt(26)
@@ -112,7 +111,7 @@ def test_initial_weights_are_scaled_uniform():
 @pytest.mark.parametrize("hidden", [(), (6,)])
 def test_gradients_match_numeric_differences(hidden):
     rng = np.random.default_rng(2)
-    clf = Classifier(NetworkConfig(8, hidden, 10), rng=3)
+    clf = Classifier(Architecture(8, *hidden), rng=3)
     features = rng.random((12, 8))
     labels = rng.integers(0, 10, size=12)
     assert gradient_check(clf, features, labels) < 1e-4
@@ -125,7 +124,7 @@ def test_gradient_check_detects_sign_flip():
             return loss, [-g for g in grads]
 
     rng = np.random.default_rng(4)
-    clf = Flipped(NetworkConfig(5, (), 10), rng=5)
+    clf = Flipped(Architecture(5), rng=5)
     features = rng.random((8, 5))
     labels = rng.integers(0, 10, size=8)
     worst = gradient_check(clf, features, labels)
@@ -133,7 +132,7 @@ def test_gradient_check_detects_sign_flip():
 
 
 def test_saturated_correct_prediction_has_tiny_gradients():
-    clf = Classifier(NetworkConfig(2, (), 3), rng=0)
+    clf = Classifier(Architecture(2, n_classes=3), rng=0)
     clf.weights = [np.zeros((3, 3))]
     clf.weights[0][1, 2] = 50.0  # huge bias drives class 1 probability to ~1
     _, grads = clf.loss_and_gradients(np.array([[0.2, 0.4]]), np.array([1]))
@@ -141,7 +140,7 @@ def test_saturated_correct_prediction_has_tiny_gradients():
 
 
 def test_numeric_gradients_shapes_match_weights():
-    clf = Classifier(NetworkConfig(3, (2,), 4), rng=1)
+    clf = Classifier(Architecture(3, 2, 4), rng=1)
     rng = np.random.default_rng(6)
     grads = numeric_gradients(clf, rng.random((5, 3)), rng.integers(0, 4, size=5))
     assert [g.shape for g in grads] == [w.shape for w in clf.weights]
@@ -151,7 +150,7 @@ def test_numeric_gradients_shapes_match_weights():
 
 
 def test_sgd_with_zero_learning_rate_keeps_weights():
-    clf = Classifier(NetworkConfig(4, (), 10), rng=7)
+    clf = Classifier(Architecture(4), rng=7)
     before = [w.copy() for w in clf.weights]
     rng = np.random.default_rng(8)
     clf.train_sgd(
@@ -169,7 +168,7 @@ def test_sgd_reduces_loss_on_separable_data():
     rng = np.random.default_rng(9)
     labels = rng.integers(0, 10, size=60)
     features = np.eye(10)[labels] + rng.normal(scale=0.05, size=(60, 10))
-    clf = Classifier(NetworkConfig(10, (), 10), rng=10)
+    clf = Classifier(Architecture(10), rng=10)
     history = clf.train_sgd(
         features, labels, learning_rate=1.0, batch_size=8, epochs=30, rng=0
     )
@@ -248,7 +247,7 @@ def test_evaluate_single_correct_sample(tiny_trained_model):
 
 
 def test_classifier_rejects_feature_width_mismatch():
-    clf = Classifier(NetworkConfig(4, (), 10), rng=0)
+    clf = Classifier(Architecture(4), rng=0)
     with pytest.raises(ValueError):
         clf.predict_proba(np.zeros((2, 5)))
 
@@ -325,7 +324,7 @@ def test_load_rejects_unknown_format_version(tmp_path, tiny_trained_model):
 
 
 def test_classifier_from_dict_rejects_bad_shapes():
-    clf = Classifier(NetworkConfig(3, (), 4), rng=0)
+    clf = Classifier(Architecture(3, n_classes=4), rng=0)
     payload = clf.to_dict()
     payload["weights"][0] = [[0.0, 1.0]]  # wrong shape for a 3-feature head
     with pytest.raises(ValueError):

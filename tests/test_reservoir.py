@@ -21,8 +21,6 @@ from chaosnet.reservoir import (
     build_matrix,
     flatten_image,
     flatten_images,
-    import_matrix_csv,
-    export_matrix_csv,
     sigmoid,
 )
 from chaosnet.rpso import MAP_LOWER_BOUNDS, MAP_UPPER_BOUNDS, params_from_position
@@ -181,8 +179,6 @@ def test_sine_fill_first_row_formula(stable_params):
 
 def test_sine_fill_columns_iterate_independently(stable_params):
     """Each column advances its own orbit from (first-row value, fixed y)."""
-    from chaosnet.maps import henon_step
-
     dim = 5
     config = ReservoirConfig(
         method=FillMethod.from_id(1),
@@ -192,10 +188,8 @@ def test_sine_fill_columns_iterate_independently(stable_params):
     )
     w = build_matrix(config)
     for i in range(dim):
-        x, y = w[0, i], SINE_INIT_Y0
-        for p in range(1, 3):
-            x, y = henon_step((x, y), stable_params)
-            assert w[p, i] == pytest.approx(y, abs=0)
+        column = iterate_series(stable_params, w[0, i], SINE_INIT_Y0, 2)
+        assert w[1:, i].tobytes() == column.tobytes()
 
 
 def test_sine_fill_overflow_raises_without_clamp():
@@ -406,17 +400,30 @@ def test_transform_streaming_equals_materialized(reservoir_config):
     assert np.max(np.abs(a - b)) <= 1e-12
 
 
-# ---------------------------------------------------------------- persistence
+def test_sigmoid_is_the_two_branch_formula_bit_for_bit():
+    z = np.random.default_rng(12).normal(scale=20.0, size=2000)
+    z[:4] = [0.0, -0.0, 800.0, -800.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+    assert sigmoid(z).tobytes() == expected.tobytes()
 
 
-def test_matrix_csv_round_trip(tmp_path, reservoir_config):
-    config = reservoir_config(method_id=2, reservoir_size=5)
-    matrix = build_matrix(config)
-    path = tmp_path / "w1.csv"
-    export_matrix_csv(matrix, path)
-    back = import_matrix_csv(path)
-    assert back.shape == matrix.shape
-    assert np.array_equal(back, matrix)
+def test_squash_of_60k_by_100_peaks_under_64_mb_above_its_input(reservoir_config):
+    """The sigmoid overwrites the pre-activations in place: one boolean mask
+    and one float temporary (about 54 MB) on top of the 48 MB input."""
+    import tracemalloc
+
+    res = Reservoir(reservoir_config(reservoir_size=100))
+    res.set_statistics(np.full(100, 0.5), np.full(100, 1.5))  # both signs reach the sigmoid
+    z = np.random.default_rng(13).normal(size=(60_000, 100))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res._squash(z)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, f"peak {peak / 1e6:.0f} MB above the input"
 
 
 # ---------------------------------------------------------------- properties
@@ -507,3 +514,34 @@ def test_single_input_streams_like_its_batch_row(method_id, size, position, seed
     # absolute terms; search-box orbits reach sums far above 1.
     scale = 1.0 + np.abs(matrix) @ np.abs(rows[1])
     assert np.all(np.abs(single - matrix @ rows[1]) <= 1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    method_id=st.integers(min_value=1, max_value=6),
+    size=st.integers(min_value=1, max_value=30),
+    position=st.tuples(
+        *(st.floats(min_value=lo, max_value=hi)
+          for lo, hi in zip(MAP_LOWER_BOUNDS, MAP_UPPER_BOUNDS))
+    ),
+    columns=st.tuples(*2 * [st.integers(min_value=0, max_value=INPUT_DIM - 1)]),
+)
+def test_streaming_reads_the_weights_of_build_matrix(method_id, size, position, columns):
+    """Streaming a unit vector e_j returns column j of the built matrix bit
+    for bit, alone and in a batch, and an overflow is raised at the same
+    iteration: both read one fill stream."""
+    config = ReservoirConfig(
+        method=FillMethod.from_id(method_id),
+        params=params_from_position(position),
+        reservoir_size=size,
+    )
+    res = Reservoir(config)
+    units = np.eye(INPUT_DIM)[list(columns)]
+    single = _streamed_or_overflow(lambda: res.preactivation(units[0], "streaming"))
+    batch = _streamed_or_overflow(lambda: res.preactivation(units, "streaming"))
+    matrix = _streamed_or_overflow(lambda: build_matrix(config))
+    if isinstance(matrix, int):
+        assert single == batch == matrix
+        return
+    assert single.tobytes() == matrix[:, columns[0]].tobytes()
+    assert batch.tobytes() == matrix[:, list(columns)].T.tobytes()
