@@ -7,7 +7,9 @@ and Poincare CSV bundle), ``report`` (weight-storage footprint of a saved
 model), ``grid`` (methods x architectures accuracy table).
 
 Configuration is a single YAML tree; any leaf can be overridden from the
-command line with ``--set dotted.path=value``.  Every run writes a
+command line with ``--set dotted.path=value``.  :func:`settings` converts
+the whole tree once, before any command runs, so a bad value under any key
+exits 2 before a file is written or data is read.  Every run writes a
 manifest with the fully resolved configuration and seed; emitted CSVs
 carry a comment line with the artifact version and the manifest hash.
 """
@@ -19,6 +21,7 @@ import copy
 import hashlib
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -98,17 +101,6 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return merged
 
 
-def _check_path_known(keys: list[str]):
-    # a typo'd key would otherwise be accepted and silently ignored
-    node = DEFAULT_CONFIG
-    for depth, key in enumerate(keys):
-        if not isinstance(node, dict) or key not in node:
-            dotted = ".".join(keys[: depth + 1])
-            raise ConfigError(f"unknown config key {dotted!r}")
-        node = node[key]
-    return node
-
-
 def _check_mapping_known(loaded: dict, prefix: tuple[str, ...] = ()) -> None:
     node = DEFAULT_CONFIG
     for part in prefix:
@@ -131,16 +123,19 @@ def _apply_set(config: dict, expression: str) -> None:
     keys = dotted.strip().split(".")
     if not all(keys):
         raise ConfigError(f"empty key component in {dotted!r}")
-    if isinstance(_check_path_known(keys), dict):
+    # walk the defaults beside the config: a typo'd key would otherwise be
+    # accepted and silently ignored
+    node, schema = config, DEFAULT_CONFIG
+    for depth, key in enumerate(keys):
+        if not isinstance(schema, dict) or key not in schema:
+            raise ConfigError(f"unknown config key {'.'.join(keys[: depth + 1])!r}")
+        parent, node, schema = node, node[key], schema[key]
+    if isinstance(schema, dict):
         raise ConfigError(f"--set targets a leaf value, but {dotted.strip()!r} is a section")
     try:
-        value = yaml.safe_load(raw)
+        parent[keys[-1]] = yaml.safe_load(raw)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse value {raw!r}: {exc}") from exc
-    node = config
-    for key in keys[:-1]:
-        node = node[key]  # structure mirrors DEFAULT_CONFIG once the path checks out
-    node[keys[-1]] = value
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -171,92 +166,138 @@ def resolve_config(args: argparse.Namespace) -> dict:
             config[key] = value
     for expression in getattr(args, "set", None) or []:
         _apply_set(config, expression)
-    # bad values under valid keys are refused here, before any data is read
-    config_mode(config)
-    config_method(config)
-    config_grid_methods(config)
     return config
 
 
-def _require(config: dict, dotted: str):
-    node = config
-    for key in dotted.split("."):
-        if not isinstance(node, dict) or key not in node:
-            raise ConfigError(f"missing config key {dotted!r}")
-        node = node[key]
-    return node
+@dataclass(frozen=True)
+class Settings:
+    """Every library object a command reads, built from the config tree."""
+
+    subset: int | None
+    mode: str
+    method: FillMethod
+    architecture: Architecture
+    reservoir: ReservoirConfig
+    train: TrainConfig
+    split: SplitPlan
+    swarm: rpso.SwarmConfig
+    sweep: analysis.SweepConfig
+    with_accuracy: bool
+    poincare_params: MapParams
+    poincare_count: int
+    bytes_per_value: int
+    grid_methods: list[FillMethod]
+    # per architecture, one reservoir config for each of grid_methods
+    grid: list[tuple[Architecture, list[ReservoirConfig]]]
 
 
-def config_params(config: dict) -> MapParams:
-    raw = _require(config, "params")
+def _convert(key: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a bad value reported as a ConfigError
+    naming ``key``."""
     try:
-        return MapParams(
-            a1=float(raw["a1"]), a2=float(raw["a2"]), a3=float(raw["a3"]),
-            a4=float(raw["a4"]), A=float(raw["A"]), B=float(raw["B"]),
-        )
+        return build(*args, **kwargs)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad map params: {exc}") from exc
+        raise ConfigError(f"bad {key}: {exc}") from exc
 
 
-def config_mode(config: dict) -> str:
-    mode = _require(config, "mode")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
-    return mode
+def _typed(node: dict, schema: dict, prefix: str = "") -> dict:
+    """A copy of ``node`` with each leaf converted to the type of its default;
+    leaves whose default is None or a list are copied as they are."""
+    typed = {}
+    for key, value in node.items():
+        default = schema[key]
+        if isinstance(default, dict):
+            typed[key] = _typed(value, default, f"{prefix}{key}.")
+        elif isinstance(default, (bool, int, float, str)):
+            typed[key] = _convert(prefix + key, type(default), value)
+        else:
+            typed[key] = value
+    return typed
 
 
-def config_method(config: dict) -> FillMethod:
-    try:
-        return FillMethod.from_id(int(_require(config, "method")))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+def _at_least_1(value) -> int:
+    number = int(value)
+    if number < 1:
+        raise ValueError(f"must be >= 1, got {number}")
+    return number
 
 
-def config_grid_methods(config: dict) -> list[FillMethod]:
-    raw = _require(config, "grid.methods")
-    if not isinstance(raw, list):
-        raise ConfigError(f"grid.methods must be a list of method ids, got {raw!r}")
-    try:
-        return [FillMethod.from_id(int(m)) for m in raw]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad grid.methods: {exc}") from exc
+def _one_of(value, choices):
+    if value not in choices:
+        raise ValueError(f"must be one of {', '.join(choices)}, got {value!r}")
+    return value
 
 
-def config_architecture(config: dict) -> Architecture:
-    raw = _require(config, "architecture")
-    try:
-        hidden = raw.get("H")
-        return Architecture(int(raw["P"]), None if hidden is None else int(hidden))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad architecture: {exc}") from exc
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"must be a list, got {value!r}")
+    return value
 
 
-def config_train(config: dict) -> TrainConfig:
-    raw = _require(config, "train")
-    try:
-        return TrainConfig(
-            max_epochs=int(raw["max_epochs"]),
-            learning_rate=float(raw["learning_rate"]),
-            batch_size=int(raw["batch_size"]),
-            rng_seed=int(_require(config, "seed")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad train config: {exc}") from exc
+def _architecture(P, H=None) -> Architecture:
+    return Architecture(int(P), None if H is None else int(H))
 
 
-def config_reservoir(config: dict, architecture: Architecture) -> ReservoirConfig:
-    try:
-        return ReservoirConfig(
-            method=config_method(config),
-            params=config_params(config),
-            reservoir_size=architecture.reservoir_size,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad reservoir config: {exc}") from exc
+def settings(config: dict) -> Settings:
+    """Convert the resolved tree, every key of it, whichever command runs.
+
+    Pure: it writes and reads nothing, so it runs before any command, and it
+    is the one place a config value is converted.
+    """
+    c = _typed(config, DEFAULT_CONFIG)
+    seed = c["seed"]
+    method = _convert("method", FillMethod.from_id, c["method"])
+    params = _convert("params", MapParams, **c["params"])
+    architecture = _convert("architecture", _architecture, **c["architecture"])
+    grid_methods = _convert(
+        "grid.methods", lambda: [FillMethod.from_id(int(m)) for m in _list(c["grid"]["methods"])]
+    )
+    grid_architectures = _convert(
+        "grid.architectures",
+        lambda: [_architecture(*pair) for pair in _list(c["grid"]["architectures"])],
+    )
+    # the other keys of both sections are the fields of their configs
+    with_accuracy = c["sweep"].pop("with_accuracy")
+    c["optimize"]["particle_count"] = c["optimize"].pop("particles")
+    return Settings(
+        subset=None if c["subset"] is None else _convert("subset", _at_least_1, c["subset"]),
+        mode=_convert("mode", _one_of, c["mode"], MODES),
+        method=method,
+        architecture=architecture,
+        reservoir=_convert(
+            "params", ReservoirConfig, method, params, architecture.reservoir_size
+        ),
+        train=_convert("train", TrainConfig, **c["train"], rng_seed=seed),
+        split=_convert(
+            "split", SplitPlan, c["split"]["fraction"], seed, c["split"]["stratified"]
+        ),
+        swarm=_convert("optimize", rpso.SwarmConfig, **c["optimize"], rng_seed=seed),
+        sweep=_convert("sweep", analysis.SweepConfig, **c["sweep"], fixed=params, method=method),
+        with_accuracy=with_accuracy,
+        poincare_params=_convert(
+            "analysis.poincare_transient",
+            method.effective_params(params).replace,
+            preliminary_iterations=c["analysis"]["poincare_transient"],
+        ),
+        poincare_count=_convert(
+            "analysis.poincare_count", _at_least_1, c["analysis"]["poincare_count"]
+        ),
+        bytes_per_value=_convert(
+            "report.bytes_per_value", _at_least_1, c["report"]["bytes_per_value"]
+        ),
+        grid_methods=grid_methods,
+        grid=_convert(
+            "grid.methods",
+            lambda: [
+                (arch, [ReservoirConfig(m, params, arch.reservoir_size) for m in grid_methods])
+                for arch in grid_architectures
+            ],
+        ),
+    )
 
 
 def _output_dir(config: dict) -> Path:
-    out = Path(_require(config, "output_dir"))
+    out = Path(config["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -280,40 +321,44 @@ def _csv_comment(digest: str) -> str:
     return f"chaosnet {chaosnet.__version__} manifest sha256:{digest[:16]}"
 
 
-def _load_datasets(config: dict):
-    train, test = mnist.load_mnist(config.get("data_dir"))
-    subset = config.get("subset")
-    if subset is not None:
-        subset = int(subset)
-        train = train.subset(np.arange(min(subset, len(train))), train.provenance)
-        test = test.subset(np.arange(min(subset, len(test))), test.provenance)
+def _load_datasets(config: dict, s: Settings):
+    train, test = mnist.load_mnist(config["data_dir"])
+    if s.subset is not None:
+        train = train.subset(np.arange(min(s.subset, len(train))), train.provenance)
+        test = test.subset(np.arange(min(s.subset, len(test))), test.provenance)
     return train, test
+
+
+def _search_objective(config: dict, s: Settings, score_on_test: bool):
+    """The swarm's accuracy objective: train on the optimization split of the
+    training base, score on the whole base or on the test set."""
+    train_ds, test_ds = _load_datasets(config, s)
+    try:
+        idx = split_indices(train_ds.labels, s.split)
+    except ValueError as exc:
+        raise IdxFormatError(f"cannot build the optimization split: {exc}") from exc
+    subset_ds = train_ds.subset(idx, "optimization12k")
+    scored = test_ds if score_on_test else train_ds
+    return rpso.make_accuracy_objective(
+        s.method,
+        s.architecture,
+        subset_ds.images,
+        subset_ds.labels,
+        scored.images,
+        scored.labels,
+        s.train,
+        mode=s.mode,
+    )
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_optimize(config: dict, resume_path: str | None = None) -> int:
-    seed = int(_require(config, "seed"))
-    raw = _require(config, "optimize")
-    try:
-        swarm_config = rpso.SwarmConfig(
-            lower=np.asarray(raw["lower"], dtype=np.float64),
-            upper=np.asarray(raw["upper"], dtype=np.float64),
-            particle_count=int(raw["particles"]),
-            iterations=int(raw["iterations"]),
-            omega=float(raw["omega"]),
-            c1=float(raw["c1"]),
-            c2=float(raw["c2"]),
-            immigrant_fraction=float(raw["immigrant_fraction"]),
-            rng_seed=seed,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad optimize config: {exc}") from exc
+def cmd_optimize(config: dict, s: Settings, resume_path: str | None = None) -> int:
     if resume_path:
         # the manifest must describe the run the checkpoint continues
         saved = rpso.load_checkpoint(resume_path).config.as_dict()
-        wanted = swarm_config.as_dict()
+        wanted = s.swarm.as_dict()
         differ = sorted(k for k in wanted if saved[k] != wanted[k])
         if differ:
             raise ConfigError(
@@ -322,37 +367,12 @@ def cmd_optimize(config: dict, resume_path: str | None = None) -> int:
             )
     out = _output_dir(config)
     manifest_path, digest = write_manifest(config, "optimize")
-    train_ds, _ = _load_datasets(config)
-    architecture = config_architecture(config)
-    method = config_method(config)
-    train_config = config_train(config)
-
-    plan = SplitPlan(
-        optimization_fraction=float(_require(config, "split.fraction")),
-        rng_seed=seed,
-        stratified=bool(_require(config, "split.stratified")),
-    )
-    try:
-        idx = split_indices(train_ds.labels, plan)
-    except ValueError as exc:
-        raise IdxFormatError(f"cannot build the optimization split: {exc}") from exc
-    subset_ds = train_ds.subset(idx, "optimization12k")
-
-    objective = rpso.make_accuracy_objective(
-        method,
-        architecture,
-        subset_ds.images,
-        subset_ds.labels,
-        train_ds.images,
-        train_ds.labels,
-        train_config,
-        mode=config_mode(config),
-    )
+    objective = _search_objective(config, s, score_on_test=False)
     checkpoint = out / "checkpoint.json"
     if resume_path:
         result = rpso.resume(objective, resume_path, checkpoint_path=checkpoint)
     else:
-        result = rpso.optimize(objective, swarm_config, checkpoint_path=checkpoint)
+        result = rpso.optimize(objective, s.swarm, checkpoint_path=checkpoint)
 
     trace_path = out / "trace.csv"
     rpso.write_trace_csv(result, trace_path, comment=_csv_comment(digest))
@@ -375,29 +395,25 @@ def cmd_optimize(config: dict, resume_path: str | None = None) -> int:
     return EXIT_OK
 
 
-def cmd_train(config: dict) -> int:
+def cmd_train(config: dict, s: Settings) -> int:
     out = _output_dir(config)
     manifest_path, digest = write_manifest(config, "train")
-    train_ds, test_ds = _load_datasets(config)
-    architecture = config_architecture(config)
-    reservoir_config = config_reservoir(config, architecture)
-    train_config = config_train(config)
-    mode = config_mode(config)
+    train_ds, test_ds = _load_datasets(config, s)
 
     model = network.train(
-        train_ds.images, train_ds.labels, architecture, reservoir_config, train_config, mode=mode
+        train_ds.images, train_ds.labels, s.architecture, s.reservoir, s.train, mode=s.mode
     )
     # one projection of the test set gives both the confusion and the accuracy
-    predictions = model.predict(test_ds.images, mode)
+    predictions = model.predict(test_ds.images, s.mode)
     confusion = np.zeros((10, 10), dtype=np.int64)
     np.add.at(confusion, (test_ds.labels.astype(np.int64), predictions), 1)
     accuracy = int(np.trace(confusion)) / len(test_ds)
 
-    model_path = Path(config.get("model_path") or out / "model.json")
+    model_path = Path(config["model_path"] or out / "model.json")
     network.save_model(model, model_path)
     metrics = {
-        "architecture": architecture.describe(),
-        "method": config_method(config).id,
+        "architecture": s.architecture.describe(),
+        "method": s.method.id,
         "test_accuracy": accuracy,
         "test_size": len(test_ds),
         "train_size": len(train_ds),
@@ -412,73 +428,28 @@ def cmd_train(config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(config: dict) -> int:
+def cmd_analyze(config: dict, s: Settings) -> int:
     out = _output_dir(config)
     manifest_path, digest = write_manifest(config, "analyze")
     comment = _csv_comment(digest)
-    method = config_method(config)
-    params = config_params(config)
-    raw = _require(config, "sweep")
-    try:
-        sweep = analysis.SweepConfig(
-            parameter=str(raw["parameter"]),
-            lo=float(raw["lo"]),
-            hi=float(raw["hi"]),
-            step=float(raw["step"]),
-            fixed=params,
-            method=method,
-            series_length=int(raw["series_length"]),
-            transient=int(raw["transient"]),
-            record_count=int(raw["record_count"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sweep config: {exc}") from exc
 
-    bif_rows = analysis.bifurcation_sweep(sweep)
+    bif_rows = analysis.bifurcation_sweep(s.sweep)
     bif_path = out / "bifurcation.csv"
     analysis.write_bifurcation_csv(bif_rows, bif_path, comment=comment)
 
     accuracy_fn = None
-    if raw.get("with_accuracy"):
-        train_ds, test_ds = _load_datasets(config)
-        architecture = config_architecture(config)
-        train_config = config_train(config)
-        plan = SplitPlan(
-            optimization_fraction=float(_require(config, "split.fraction")),
-            rng_seed=int(_require(config, "seed")),
-            stratified=bool(_require(config, "split.stratified")),
-        )
-        try:
-            idx = split_indices(train_ds.labels, plan)
-        except ValueError as exc:
-            raise IdxFormatError(f"cannot build the optimization split: {exc}") from exc
-        subset_ds = train_ds.subset(idx, "optimization12k")
-        mode = config_mode(config)
+    if s.with_accuracy:
+        # the search's objective and failure policy, scored on the test set
+        objective = _search_objective(config, s, score_on_test=True)
 
         def accuracy_fn(map_params: MapParams) -> float:
-            reservoir_config = ReservoirConfig(
-                method=method,
-                params=map_params,
-                reservoir_size=architecture.reservoir_size,
-            )
-            try:
-                model = network.train(
-                    subset_ds.images, subset_ds.labels, architecture, reservoir_config,
-                    train_config, mode=mode,
-                )
-                return network.evaluate(model, test_ds.images, test_ds.labels, mode=mode)
-            except (MapOverflowError, TrainingDivergedError):
-                return float("nan")
+            return objective(rpso.position_from_params(map_params))
 
-    table = analysis.entropy_accuracy_table(sweep, accuracy_fn)
+    table = analysis.entropy_accuracy_table(s.sweep, accuracy_fn)
     table_path = out / "entropy_accuracy.csv"
     analysis.write_entropy_accuracy_csv(table, table_path, comment=comment)
 
-    a_raw = _require(config, "analysis")
-    poincare_params = method.effective_params(params).replace(
-        preliminary_iterations=int(a_raw["poincare_transient"])
-    )
-    pairs = analysis.poincare_pairs(poincare_params, int(a_raw["poincare_count"]))
+    pairs = analysis.poincare_pairs(s.poincare_params, s.poincare_count)
     poincare_path = out / "poincare.csv"
     analysis.write_poincare_csv(pairs, poincare_path, comment=comment)
 
@@ -488,11 +459,15 @@ def cmd_analyze(config: dict) -> int:
         for row in table
         if not row.overflowed and np.isfinite(row.apen[key]) and np.isfinite(row.accuracy)
     ]
-    if len(valid) >= 3:
-        rho = analysis.spearman_correlation([v[0] for v in valid], [v[1] for v in valid])
-        spearman_line = f"spearman_apen_m2_r0.025_vs_accuracy: {rho:.6f} over {len(valid)} points"
+    spearman_line = "spearman_apen_m2_r0.025_vs_accuracy: "
+    if len(valid) < 3:
+        spearman_line += "not computed (needs accuracy column)"
+    elif any(len(set(column)) == 1 for column in zip(*valid)):
+        # the rank correlation of a constant column is undefined
+        spearman_line += "not computed (constant column)"
     else:
-        spearman_line = "spearman_apen_m2_r0.025_vs_accuracy: not computed (needs accuracy column)"
+        rho = analysis.spearman_correlation(*zip(*valid))
+        spearman_line += f"{rho:.6f} over {len(valid)} points"
     summary_path = out / "summary.txt"
     summary_path.write_text(
         "\n".join(
@@ -512,22 +487,19 @@ def cmd_analyze(config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_report(config: dict) -> int:
+def cmd_report(config: dict, s: Settings) -> int:
     out = _output_dir(config)
     manifest_path, digest = write_manifest(config, "report")
-    model_path = config.get("model_path")
+    model_path = config["model_path"]
     if not model_path:
         raise ConfigError("report needs model_path (or --model)")
     try:
         model = network.load_model(model_path)
-    except FileNotFoundError:
-        raise
     except (ValueError, KeyError, TypeError) as exc:
         raise IdxFormatError(f"cannot read model file {model_path}: {exc}") from exc
-    bytes_per_value = int(_require(config, "report.bytes_per_value"))
     lines = []
     for mode in ("streaming", "materialized"):
-        report = footprint.footprint(model, mode, bytes_per_value)
+        report = footprint.footprint(model, mode, s.bytes_per_value)
         footprint.write_csv(report, out / f"footprint-{mode}.csv", comment=_csv_comment(digest))
         lines.append(footprint.render_text(report))
     text = "\n".join(lines)
@@ -537,51 +509,43 @@ def cmd_report(config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_grid(config: dict) -> int:
+def cmd_grid(config: dict, s: Settings) -> int:
     out = _output_dir(config)
     manifest_path, digest = write_manifest(config, "grid")
-    train_ds, test_ds = _load_datasets(config)
-    raw = _require(config, "grid")
-    train_config = config_train(config)
-    params = config_params(config)
-    mode = config_mode(config)
-    methods = config_grid_methods(config)
+    train_ds, test_ds = _load_datasets(config, s)
 
-    results: list[tuple[str, int, float]] = []
-    for p, h in raw["architectures"]:
-        architecture = Architecture(int(p), None if h is None else int(h))
-        for method in methods:
-            reservoir_config = ReservoirConfig(
-                method=method, params=params, reservoir_size=architecture.reservoir_size
-            )
+    rows: list[tuple[str, list[float]]] = []  # per architecture, one accuracy per method
+    for architecture, reservoir_configs in s.grid:
+        accuracies = []
+        for reservoir_config in reservoir_configs:
             model = network.train(
                 train_ds.images, train_ds.labels, architecture, reservoir_config,
-                train_config, mode=mode,
+                s.train, mode=s.mode,
             )
-            accuracy = network.evaluate(model, test_ds.images, test_ds.labels, mode=mode)
-            results.append((architecture.describe(), method.id, accuracy))
-            print(f"{architecture.describe()} method {method.id}: {accuracy:.4f}")
+            accuracy = network.evaluate(model, test_ds.images, test_ds.labels, mode=s.mode)
+            accuracies.append(accuracy)
+            print(f"{architecture.describe()} method {reservoir_config.method.id}: {accuracy:.4f}")
+        rows.append((architecture.describe(), accuracies))
 
     csv_path = out / "grid.csv"
     with open(csv_path, "w", encoding="ascii") as fh:
         fh.write(f"# {_csv_comment(digest)}\n")
         fh.write("architecture,method,accuracy\n")
-        for arch, method_id, accuracy in results:
-            fh.write(f"{arch},{method_id},{accuracy:.17g}\n")
+        for arch, accuracies in rows:
+            for method, accuracy in zip(s.grid_methods, accuracies):
+                fh.write(f"{arch},{method.id},{accuracy:.17g}\n")
 
     md_path = out / "grid.md"
     with open(md_path, "w", encoding="ascii") as fh:
-        fh.write("| architecture |" + "".join(f" method {m.id} |" for m in methods) + "\n")
-        fh.write("|---|" + "---|" * len(methods) + "\n")
-        for p, h in raw["architectures"]:
-            arch = Architecture(int(p), None if h is None else int(h)).describe()
-            row = [arch]
-            for m in methods:
-                acc = next(a for ar, mi, a in results if ar == arch and mi == m.id)
-                row.append(f"{acc * 100:.2f}%")
-            fh.write("| " + " | ".join(row) + " |\n")
+        fh.write("| architecture |" + "".join(f" method {m.id} |" for m in s.grid_methods) + "\n")
+        fh.write("|---|" + "---|" * len(s.grid_methods) + "\n")
+        for arch, accuracies in rows:
+            fh.write("| " + " | ".join([arch] + [f"{a * 100:.2f}%" for a in accuracies]) + " |\n")
     print(f"wrote {csv_path}, {md_path}, {manifest_path}")
     return EXIT_OK
+
+
+COMMANDS = {"train": cmd_train, "analyze": cmd_analyze, "report": cmd_report, "grid": cmd_grid}
 
 
 # -- entry point ---------------------------------------------------------------
@@ -618,21 +582,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
+        s = settings(config)
         if args.command == "optimize":
-            return cmd_optimize(config, resume_path=getattr(args, "resume", None))
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "analyze":
-            return cmd_analyze(config)
-        if args.command == "report":
-            return cmd_report(config)
-        if args.command == "grid":
-            return cmd_grid(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+            return cmd_optimize(config, s, args.resume)
+        return COMMANDS[args.command](config, s)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

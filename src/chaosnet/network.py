@@ -27,7 +27,6 @@ from chaosnet.reservoir import (
 DEFAULT_LEARNING_RATE = 0.1
 DEFAULT_BATCH_SIZE = 64
 DEFAULT_EPOCHS = 20
-OPTIMIZATION_MAX_EPOCHS = 20  # cap used while map parameters are being searched
 MODEL_FORMAT_VERSION = 1
 
 
@@ -448,5 +447,4 @@ __all__ = [
     "DEFAULT_LEARNING_RATE",
     "DEFAULT_BATCH_SIZE",
     "DEFAULT_EPOCHS",
-    "OPTIMIZATION_MAX_EPOCHS",
 ]

@@ -119,13 +119,6 @@ class SwarmConfig:
         return min(k, self.particle_count - 1)
 
 
-def map_search_config(**overrides) -> SwarmConfig:
-    """Swarm configuration preset for the map-parameter search box."""
-    kwargs = dict(lower=MAP_LOWER_BOUNDS, upper=MAP_UPPER_BOUNDS)
-    kwargs.update(overrides)
-    return SwarmConfig(**kwargs)
-
-
 @dataclass(frozen=True)
 class FitnessRecord:
     position: np.ndarray
@@ -272,10 +265,6 @@ class SwarmResult:
     trace: list[FitnessRecord] = field(default_factory=list)
     immigrant_counts: list[int] = field(default_factory=list)
     evaluations: int = 0
-
-    @property
-    def history(self) -> list[float]:
-        return [r.fitness for r in self.trace]
 
 
 def optimize(
@@ -482,7 +471,6 @@ __all__ = [
     "load_checkpoint",
     "write_trace_csv",
     "sphere",
-    "map_search_config",
     "make_accuracy_objective",
     "params_from_position",
     "position_from_params",

@@ -19,10 +19,10 @@ from chaosnet.analysis import (
 from chaosnet.footprint import footprint, map_parameter_delta
 from chaosnet.maps import MapParams
 from chaosnet.network import (
+    DEFAULT_EPOCHS,
     Architecture,
     Classifier,
     NetworkModel,
-    OPTIMIZATION_MAX_EPOCHS,
     TrainConfig,
     evaluate,
     gradient_check,
@@ -39,7 +39,7 @@ from conftest import STABLE_PARAMS, requires_mnist
 FIXED = MapParams(a1=1.0, a2=1.0, a3=1.51, a4=0.74, A=-0.81, B=0.51)
 
 SUBSET_TRAIN = TrainConfig(
-    max_epochs=OPTIMIZATION_MAX_EPOCHS, learning_rate=0.1, batch_size=64, rng_seed=0
+    max_epochs=DEFAULT_EPOCHS, learning_rate=0.1, batch_size=64, rng_seed=0
 )
 
 
@@ -63,7 +63,7 @@ def subset_accuracy(method_id, params, train_ds, test_ds, architecture, fraction
         reservoir_size=architecture.reservoir_size,
     )
     settings = TrainConfig(
-        max_epochs=OPTIMIZATION_MAX_EPOCHS,
+        max_epochs=DEFAULT_EPOCHS,
         learning_rate=0.1,
         batch_size=64,
         rng_seed=seed,
@@ -135,7 +135,7 @@ def test_criterion_02_architecture_ordering_method4():
                 reservoir_size=architecture.reservoir_size,
             )
             settings = TrainConfig(
-                max_epochs=OPTIMIZATION_MAX_EPOCHS,
+                max_epochs=DEFAULT_EPOCHS,
                 learning_rate=0.1,
                 batch_size=64,
                 rng_seed=seed,

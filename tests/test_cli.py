@@ -9,14 +9,16 @@ import pytest
 import yaml
 
 import chaosnet
-from chaosnet import rpso
+from chaosnet import mnist, rpso
 from chaosnet.cli import (
+    DEFAULT_CONFIG,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_DIVERGENCE,
     EXIT_OK,
     EXIT_OVERFLOW,
     main,
+    settings,
 )
 
 
@@ -334,6 +336,38 @@ def test_analyze_overflowing_sweep_is_flagged_not_fatal(tmp_path):
     assert "overflowed_points: 1" in summary
 
 
+def analyze_accuracy_args(synthetic_data_dir, out_dir, *extra):
+    # four sweep points, each trained on the optimization split
+    return analyze_smoke_args(out_dir) + [
+        "--data-dir", str(synthetic_data_dir),
+        "--set", "sweep.with_accuracy=true",
+        "--set", "sweep.hi=1.0",
+        *extra,
+    ]
+
+
+def test_analyze_constant_accuracy_column_computes_no_spearman(synthetic_data_dir, tmp_path):
+    # one epoch on the bar images scores the same at every sweep point; the
+    # rank correlation of a constant column is undefined, not NaN
+    out = tmp_path / "ana"
+    args = analyze_accuracy_args(synthetic_data_dir, out, "--set", "train.max_epochs=1")
+    assert run(*args) == EXIT_OK
+    summary = (out / "summary.txt").read_text()
+    assert "spearman_apen_m2_r0.025_vs_accuracy: not computed (constant column)" in summary
+
+
+def test_analyze_scores_a_diverging_point_0_as_the_search_does(synthetic_data_dir, tmp_path):
+    out = tmp_path / "ana"
+    args = analyze_accuracy_args(synthetic_data_dir, out, "--set", "train.learning_rate=1e308")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(*args) == EXIT_OK
+    rows = (out / "entropy_accuracy.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[-1] for row in rows] == ["0"] * 4
+    summary = (out / "summary.txt").read_text()
+    assert "overflowed_points: 0" in summary
+    assert "not computed (constant column)" in summary
+
+
 # ---------------------------------------------------------------- grid
 
 
@@ -367,6 +401,19 @@ def test_grid_smoke(synthetic_data_dir, tmp_path):
 
 
 # ---------------------------------------------------------------- config layers
+
+
+def test_default_swarm_is_the_library_map_search_box():
+    # pins the CLI defaults to the library's swarm defaults
+    swarm = settings(DEFAULT_CONFIG).swarm
+    library = rpso.SwarmConfig(rpso.MAP_LOWER_BOUNDS, rpso.MAP_UPPER_BOUNDS)
+    assert swarm.as_dict() == library.as_dict()
+    assert swarm.particle_count == 150
+    assert swarm.iterations == 100
+    assert swarm.omega == 0.5
+    assert swarm.c1 == 2.0 and swarm.c2 == 2.0
+    assert swarm.immigrant_fraction == 0.7
+    assert swarm.dimensions == 6
 
 
 def test_config_file_applies_and_set_wins(tmp_path):
@@ -483,16 +530,49 @@ def test_bad_swarm_size_exits_2(synthetic_data_dir, tmp_path):
         ("grid", "grid.methods=[4, x]"),
         ("grid", "grid.methods=4"),
         ("train", "method=0"),
+        ("train", "subset=abc"),
+        ("train", "subset=0"),
+        ("train", "subset=-5"),
+        ("optimize", "split.fraction=abc"),
+        ("optimize", "split.fraction=0"),
+        ("optimize", "seed=abc"),
+        ("grid", "grid.architectures=[[0, null]]"),
+        ("grid", "grid.architectures=5"),
+        ("analyze", "analysis.poincare_count=abc"),
+        ("analyze", "analysis.poincare_count=0"),
+        ("train", "train.max_epochs=abc"),
+        ("train", "train.learning_rate=-1"),
+        ("train", "architecture.H=0"),
+        ("train", "params.a1=abc"),
+        ("train", "seed=abc"),
+        ("optimize", "architecture.P=0"),
+        ("analyze", "sweep.step=0"),
+        ("analyze", "analysis.poincare_transient=-1"),
+        ("report", "report.bytes_per_value=0"),
+        # sine methods need B != 0; optimize reads no params, yet the whole
+        # tree is checked for every command
+        pytest.param("analyze", ["method=1", "params.B=0"], id="analyze-method=1-params.B=0"),
+        pytest.param(
+            "grid", ["grid.methods=[4, 1]", "params.B=0"], id="grid-grid.methods=[4, 1]-params.B=0"
+        ),
+        pytest.param("optimize", ["method=1", "params.B=0"], id="optimize-method=1-params.B=0"),
     ],
 )
 def test_bad_value_under_valid_key_exits_2_before_reading_data(
-    synthetic_data_dir, tmp_path, command, expression
+    synthetic_data_dir, tmp_path, monkeypatch, command, expression
 ):
     out = tmp_path / "o"
-    code = run(command, *common_flags(synthetic_data_dir, out), "--set", expression)
+    reads = []
+    load = mnist.load_mnist
+    monkeypatch.setattr(mnist, "load_mnist", lambda *args: reads.append(args) or load(*args))
+    sets = [expression] if isinstance(expression, str) else expression
+    flags = [arg for e in sets for arg in ("--set", e)]
+    code = run(command, *common_flags(synthetic_data_dir, out), *flags)
     assert code == EXIT_CONFIG
     # refused while resolving the config: no command started, so no manifest
     assert not (out / f"manifest-{command}.yaml").exists()
+    assert not (out / "bifurcation.csv").exists()
+    assert reads == []
 
 
 def test_unknown_sweep_parameter_exits_2(tmp_path):

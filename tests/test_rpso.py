@@ -14,9 +14,7 @@ from chaosnet.maps import MapOverflowError, MapParams
 from chaosnet.network import TrainingDivergedError
 from chaosnet.rpso import (
     FAILED_FITNESS,
-    MAP_LOWER_BOUNDS,
     MAP_PARAM_NAMES,
-    MAP_UPPER_BOUNDS,
     OptimizationError,
     Swarm,
     SwarmConfig,
@@ -24,7 +22,6 @@ from chaosnet.rpso import (
     init_swarm,
     load_checkpoint,
     make_accuracy_objective,
-    map_search_config,
     optimize,
     params_from_position,
     position_from_params,
@@ -64,21 +61,6 @@ def test_position_round_trip_preserves_order():
 def test_params_from_position_rejects_wrong_length():
     with pytest.raises(ValueError):
         params_from_position(np.zeros(5))
-
-
-def test_map_search_config_defaults():
-    config = map_search_config()
-    assert np.array_equal(config.lower, MAP_LOWER_BOUNDS)
-    assert np.array_equal(config.upper, MAP_UPPER_BOUNDS)
-    assert config.particle_count == 150
-    assert config.iterations == 100
-    assert config.omega == 0.5
-    assert config.c1 == 2.0 and config.c2 == 2.0
-    assert config.immigrant_fraction == 0.7
-    assert config.dimensions == 6
-    overridden = map_search_config(particle_count=30, iterations=20)
-    assert overridden.particle_count == 30
-    assert overridden.iterations == 20
 
 
 # ---------------------------------------------------------------- config
