@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
+import glob
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -173,6 +176,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
 class Settings:
     """Every library object a command reads, built from the config tree."""
 
+    data_dir: Path | None  # None -> mnist.default_data_dir()
+    output_dir: Path
+    model_path: Path | None  # None -> <output_dir>/model.json
     subset: int | None
     mode: str
     method: FillMethod
@@ -196,27 +202,62 @@ def _convert(key: str, build, *args, **kwargs):
     naming ``key``."""
     try:
         return build(*args, **kwargs)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {key}: {exc}") from exc
 
 
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"must be an integer, got {value!r}")
+    return value
+
+
+def _float(value) -> float:
+    # PyYAML reads 1e-3 as a string, so numeric strings count as numbers
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"must be a string, got {value!r}")
+    return value
+
+
+def _optional_path(value) -> Path | None:
+    """None for null or an empty string, else the path a string names."""
+    return Path(_str(value)) if value not in (None, "") else None
+
+
+_CHECKS = {bool: _bool, int: _int, float: _float, str: _str}
+
+
 def _typed(node: dict, schema: dict, prefix: str = "") -> dict:
-    """A copy of ``node`` with each leaf converted to the type of its default;
-    leaves whose default is None or a list are copied as they are."""
+    """A copy of ``node`` with each leaf checked against the type of its
+    default: a bool takes only a bool, an int an int (no bool, no fraction),
+    a float also an int or a numeric string, which it converts.  Leaves whose
+    default is None or a list are copied as they are."""
     typed = {}
     for key, value in node.items():
         default = schema[key]
         if isinstance(default, dict):
             typed[key] = _typed(value, default, f"{prefix}{key}.")
-        elif isinstance(default, (bool, int, float, str)):
-            typed[key] = _convert(prefix + key, type(default), value)
+        elif type(default) in _CHECKS:
+            typed[key] = _convert(prefix + key, _CHECKS[type(default)], value)
         else:
             typed[key] = value
     return typed
 
 
 def _at_least_1(value) -> int:
-    number = int(value)
+    number = _int(value)
     if number < 1:
         raise ValueError(f"must be >= 1, got {number}")
     return number
@@ -235,7 +276,7 @@ def _list(value) -> list:
 
 
 def _architecture(P, H=None) -> Architecture:
-    return Architecture(int(P), None if H is None else int(H))
+    return Architecture(_int(P), None if H is None else _int(H))
 
 
 def settings(config: dict) -> Settings:
@@ -250,7 +291,7 @@ def settings(config: dict) -> Settings:
     params = _convert("params", MapParams, **c["params"])
     architecture = _convert("architecture", _architecture, **c["architecture"])
     grid_methods = _convert(
-        "grid.methods", lambda: [FillMethod.from_id(int(m)) for m in _list(c["grid"]["methods"])]
+        "grid.methods", lambda: [FillMethod.from_id(_int(m)) for m in _list(c["grid"]["methods"])]
     )
     grid_architectures = _convert(
         "grid.architectures",
@@ -260,6 +301,9 @@ def settings(config: dict) -> Settings:
     with_accuracy = c["sweep"].pop("with_accuracy")
     c["optimize"]["particle_count"] = c["optimize"].pop("particles")
     return Settings(
+        data_dir=_convert("data_dir", _optional_path, c["data_dir"]),
+        output_dir=Path(c["output_dir"]),
+        model_path=_convert("model_path", _optional_path, c["model_path"]),
         subset=None if c["subset"] is None else _convert("subset", _at_least_1, c["subset"]),
         mode=_convert("mode", _one_of, c["mode"], MODES),
         method=method,
@@ -296,19 +340,37 @@ def settings(config: dict) -> Settings:
     )
 
 
-def _output_dir(config: dict) -> Path:
-    out = Path(config["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _output_dir(s: Settings) -> Path:
+    s.output_dir.mkdir(parents=True, exist_ok=True)
+    return s.output_dir
 
 
-def write_manifest(config: dict, command: str) -> tuple[Path, str]:
-    """Resolved config + seed + version, hashed so outputs can cite it."""
-    out = _output_dir(config)
+def _blas_threads() -> int | None:
+    """Threads of the OpenBLAS that numpy loaded (None when it is not OpenBLAS)."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in glob.glob(libs):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter()
+    return None
+
+
+def write_manifest(config: dict, out: Path, command: str) -> tuple[Path, str]:
+    """Resolved config + seed + version, hashed so outputs can cite it.
+
+    The numpy version and the BLAS thread count are recorded too: the
+    projection's last bits depend on both, so one hash means one arithmetic.
+    """
     payload = {
         "artifact_version": chaosnet.__version__,
         "command": command,
         "config": config,
+        "numpy": np.__version__,
+        "blas_threads": _blas_threads(),
     }
     text = yaml.safe_dump(payload, sort_keys=True)
     digest = hashlib.sha256(text.encode()).hexdigest()
@@ -321,18 +383,18 @@ def _csv_comment(digest: str) -> str:
     return f"chaosnet {chaosnet.__version__} manifest sha256:{digest[:16]}"
 
 
-def _load_datasets(config: dict, s: Settings):
-    train, test = mnist.load_mnist(config["data_dir"])
+def _load_datasets(s: Settings):
+    train, test = mnist.load_mnist(s.data_dir)
     if s.subset is not None:
         train = train.subset(np.arange(min(s.subset, len(train))), train.provenance)
         test = test.subset(np.arange(min(s.subset, len(test))), test.provenance)
     return train, test
 
 
-def _search_objective(config: dict, s: Settings, score_on_test: bool):
+def _search_objective(s: Settings, score_on_test: bool):
     """The swarm's accuracy objective: train on the optimization split of the
     training base, score on the whole base or on the test set."""
-    train_ds, test_ds = _load_datasets(config, s)
+    train_ds, test_ds = _load_datasets(s)
     try:
         idx = split_indices(train_ds.labels, s.split)
     except ValueError as exc:
@@ -365,9 +427,9 @@ def cmd_optimize(config: dict, s: Settings, resume_path: str | None = None) -> i
                 f"checkpoint {resume_path} was written by another optimize config "
                 f"(differs in {', '.join(differ)})"
             )
-    out = _output_dir(config)
-    manifest_path, digest = write_manifest(config, "optimize")
-    objective = _search_objective(config, s, score_on_test=False)
+    out = _output_dir(s)
+    manifest_path, digest = write_manifest(config, out, "optimize")
+    objective = _search_objective(s, score_on_test=False)
     checkpoint = out / "checkpoint.json"
     if resume_path:
         result = rpso.resume(objective, resume_path, checkpoint_path=checkpoint)
@@ -396,9 +458,9 @@ def cmd_optimize(config: dict, s: Settings, resume_path: str | None = None) -> i
 
 
 def cmd_train(config: dict, s: Settings) -> int:
-    out = _output_dir(config)
-    manifest_path, digest = write_manifest(config, "train")
-    train_ds, test_ds = _load_datasets(config, s)
+    out = _output_dir(s)
+    manifest_path, digest = write_manifest(config, out, "train")
+    train_ds, test_ds = _load_datasets(s)
 
     model = network.train(
         train_ds.images, train_ds.labels, s.architecture, s.reservoir, s.train, mode=s.mode
@@ -409,7 +471,7 @@ def cmd_train(config: dict, s: Settings) -> int:
     np.add.at(confusion, (test_ds.labels.astype(np.int64), predictions), 1)
     accuracy = int(np.trace(confusion)) / len(test_ds)
 
-    model_path = Path(config["model_path"] or out / "model.json")
+    model_path = s.model_path or out / "model.json"
     network.save_model(model, model_path)
     metrics = {
         "architecture": s.architecture.describe(),
@@ -429,8 +491,8 @@ def cmd_train(config: dict, s: Settings) -> int:
 
 
 def cmd_analyze(config: dict, s: Settings) -> int:
-    out = _output_dir(config)
-    manifest_path, digest = write_manifest(config, "analyze")
+    out = _output_dir(s)
+    manifest_path, digest = write_manifest(config, out, "analyze")
     comment = _csv_comment(digest)
 
     bif_rows = analysis.bifurcation_sweep(s.sweep)
@@ -440,7 +502,7 @@ def cmd_analyze(config: dict, s: Settings) -> int:
     accuracy_fn = None
     if s.with_accuracy:
         # the search's objective and failure policy, scored on the test set
-        objective = _search_objective(config, s, score_on_test=True)
+        objective = _search_objective(s, score_on_test=True)
 
         def accuracy_fn(map_params: MapParams) -> float:
             return objective(rpso.position_from_params(map_params))
@@ -488,10 +550,10 @@ def cmd_analyze(config: dict, s: Settings) -> int:
 
 
 def cmd_report(config: dict, s: Settings) -> int:
-    out = _output_dir(config)
-    manifest_path, digest = write_manifest(config, "report")
-    model_path = config["model_path"]
-    if not model_path:
+    out = _output_dir(s)
+    manifest_path, digest = write_manifest(config, out, "report")
+    model_path = s.model_path
+    if model_path is None:
         raise ConfigError("report needs model_path (or --model)")
     try:
         model = network.load_model(model_path)
@@ -510,9 +572,9 @@ def cmd_report(config: dict, s: Settings) -> int:
 
 
 def cmd_grid(config: dict, s: Settings) -> int:
-    out = _output_dir(config)
-    manifest_path, digest = write_manifest(config, "grid")
-    train_ds, test_ds = _load_datasets(config, s)
+    out = _output_dir(s)
+    manifest_path, digest = write_manifest(config, out, "grid")
+    train_ds, test_ds = _load_datasets(s)
 
     rows: list[tuple[str, list[float]]] = []  # per architecture, one accuracy per method
     for architecture, reservoir_configs in s.grid:

@@ -78,20 +78,22 @@ class MapParams:
         return _replace(self, **changes)
 
 
-def orbit(params: MapParams, x: float, y: float) -> Iterator[float]:
+def orbit(params: MapParams, x: float, y: float, first_step: int = 1) -> Iterator[float]:
     """Yield the y-iterates of the map from ``(x, y)``, forever.
 
-    Step k (counted from 1) yields the k-th new y; the previous y is the
-    next step's x, so x is never clamped.  With clamping enabled a y whose
-    magnitude is not <= 10 (NaN included) is replaced by 1; with clamping
-    disabled a non-finite y raises :class:`MapOverflowError` carrying its
-    step.  ``params.preliminary_iterations`` is not applied here: consumers
-    skip the warm-up themselves, e.g. with ``islice``.
+    Each step yields its new y; the previous y is the next step's x, so x is
+    never clamped.  With clamping enabled a y whose magnitude is not <= 10
+    (NaN included) is replaced by 1; with clamping disabled a non-finite y
+    raises :class:`MapOverflowError` carrying its step.  Steps are numbered
+    from ``first_step``, so an orbit resumed from a state reached after k
+    steps passes ``k + 1`` and reports overflows counted from the initial
+    condition.  ``params.preliminary_iterations`` is not applied here:
+    consumers skip the warm-up themselves, e.g. with ``islice``.
     """
     a1, a2, a3, a4 = params.a1, params.a2, params.a3, params.a4
     clamp = params.clamp_enabled
     x, y = float(x), float(y)
-    for step in itertools.count(1):
+    for step in itertools.count(first_step):
         x, y = y, x + a1 * x * x + a2 * y * y - a3 * x * y - a4
         if clamp:
             # `not <=` rather than `>` so a NaN produced from extreme inputs is

@@ -14,15 +14,20 @@ single input is streamed without a copy and its P sums are Python floats;
 a batch keeps a (P, M) numpy block.  Both give identical sums for the same
 row.
 
-A stack of (N, 28, 28) images is projected in materialized mode without a
-float copy of the stack: chunks of pixels are scaled into one reused
-(rows, 785) buffer and multiplied into the N x P result.
+A stack of (N, 28, 28) images is projected without a float copy of the
+stack: chunks of pixels are scaled into one reused buffer, (rows, 785) for
+the matrix product of materialized mode and (785, rows) for streaming.
+Constant-init methods with a warm-up start their orbit from a cached
+post-warm-up state, so only the first input streamed with given parameters
+runs the 10,000 discarded steps.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
@@ -34,6 +39,8 @@ INPUT_DIM = 785  # 784 pixels + bias slot 0
 MODES = ("materialized", "streaming")  # evaluation modes of Reservoir.preactivation
 SINE_INIT_Y0 = 0.51
 PROJECTION_CHUNK_ROWS = 4096  # most image rows scaled and multiplied at once
+STREAM_CHUNK_ROWS = 16384  # most image rows scaled and streamed at once
+WARM_STATE_CACHE_SIZE = 256  # post-warm-up map states kept, least recently used dropped
 
 
 class NotFittedError(RuntimeError):
@@ -125,6 +132,33 @@ def flatten_images(images) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=WARM_STATE_CACHE_SIZE)
+def _cached_warm_state(params: MapParams, key: str) -> tuple[float, float]:
+    x, y = float(params.A), float(params.B)
+    ys = itertools.islice(orbit(params, x, y), params.preliminary_iterations)
+    return ((x, y) + tuple(deque(ys, maxlen=2)))[-2:]
+
+
+def _warm_state(params: MapParams) -> tuple[float, float]:
+    """The map state (x, y) after ``params.preliminary_iterations`` steps from
+    (A, B), computed once per parameters.
+
+    A warm-up that overflows raises each time, at the same step, since the
+    cache keeps no exception.  The key adds ``repr(params)`` because
+    MapParams compare 0.0 equal to -0.0, and an orbit of zeros carries the
+    sign of its initial condition into the weights.
+    """
+    return _cached_warm_state(params, repr(params))
+
+
+def _chunks(n: int, most: int) -> list[tuple[int, int]]:
+    """(start, stop) of ceil(n / most) near-equal chunks covering range(n);
+    one empty chunk when n is 0."""
+    count = max(1, -(-n // most))
+    bounds = [k * n // count for k in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def _fill_lines(
     config: ReservoirConfig,
 ) -> Iterator[tuple[int | slice, int | slice, Iterator[float]]]:
@@ -134,17 +168,17 @@ def _fill_lines(
     and ``weights`` yields their values in the order of that index.  A
     constant-init line is one row of W, ``(p, slice, weights)``, its column
     slice running forwards on even rows and backwards on odd ones; one orbit
-    from (A, B) runs through all rows after the warm-up.  A sine-init line
-    is one column of W, ``(slice(None), i, weights)``: the column's initial
-    x, then the first P - 1 iterates of its own orbit from (x, 0.51).  Each
-    line's weights must be consumed before the next line is requested.
+    from (A, B) runs through all rows, resumed after the warm-up from
+    :func:`_warm_state`.  A sine-init line is one column of W,
+    ``(slice(None), i, weights)``: the column's initial x, then the first
+    P - 1 iterates of its own orbit from (x, 0.51).  Each line's weights
+    must be consumed before the next line is requested.
     """
     params = config.effective_params
     p_rows, dim = config.reservoir_size, config.input_dim
     if config.method.init_kind == "constant":
-        ys = orbit(params, params.A, params.B)
-        warm = params.preliminary_iterations
-        next(itertools.islice(ys, warm, warm), None)  # run the warm-up steps
+        x, y = _warm_state(params)
+        ys = orbit(params, x, y, first_step=params.preliminary_iterations + 1)
         for p in range(p_rows):
             yield p, slice(None, None, -1 if p % 2 else 1), itertools.islice(ys, dim)
     else:
@@ -170,12 +204,12 @@ def _stream_preactivation(config: ReservoirConfig, columns: np.ndarray) -> np.nd
     the map scalars, one scratch state and the P sums are held, so per input
     the storage is the six parameters plus P sums, independent of the input
     dimension for constant methods; sine methods also hold the input_dim
-    initial x values, as many as one input has.  A single input (M == 1) is read through a memoryview of its
-    contiguous column, without a copy, and its P sums are a list of Python
-    floats; a batch keeps a (P, M) numpy block.  Both containers run the
-    same loop body, and Python floats and float64 elements perform the same
-    IEEE operations in the same order, so a row gives identical sums alone
-    and inside a batch.
+    initial x values, as many as one input has.  A single input (M == 1) is
+    read through a memoryview of its column, without a copy, and its P sums
+    are a list of Python floats; a batch keeps a (P, M) numpy block.  Both
+    containers run the same loop body, and Python floats and float64
+    elements perform the same IEEE operations in the same order, so a row
+    gives identical sums alone and inside a batch.
     """
     p_rows = config.reservoir_size
     single = columns.shape[1] == 1
@@ -252,11 +286,14 @@ class Reservoir:
         """W @ Y for one input vector, a batch of rows or a stack of images.
 
         ``inputs`` is one input_dim vector, (N, input_dim) rows, or (N, 28, 28)
-        uint8 pixel grids for the 785-slot input.  Materialized images are
-        projected in ceil(N / PROJECTION_CHUNK_ROWS) near-equal chunks through
-        one reused float64 (rows, 785) buffer whose column 0 is the bias 1, so
-        the float form of the whole stack is never held; streaming mode
-        flattens them to rows first.
+        uint8 pixel grids for the 785-slot input.  The float form of an image
+        stack is never held.  Materialized images are projected in
+        ceil(N / PROJECTION_CHUNK_ROWS) near-equal chunks through one reused
+        float64 (rows, 785) buffer whose column 0 is the bias 1.  Streamed
+        images go in ceil(N / STREAM_CHUNK_ROWS) near-equal chunks through one
+        reused (785, rows) buffer whose row 0 is the bias 1; each image is
+        streamed alone, so the result equals streaming
+        ``flatten_images(inputs)`` bit for bit.
 
         N <= PROJECTION_CHUNK_ROWS is one call, as ``flatten_images(inputs) @
         W.T``.  For larger N the chunked result equals that product bit for
@@ -270,9 +307,12 @@ class Reservoir:
         """
         arr = np.asarray(inputs)
         if arr.ndim == 3:
+            pixels = self._pixels(arr)
             if mode == "materialized":
-                return self._project_images(arr)
-            arr = flatten_images(arr)
+                return self._project_images(pixels)
+            if mode == "streaming":
+                return self._stream_images(pixels)
+            raise ValueError(f"unknown mode {mode!r}")
         arr = np.asarray(arr, dtype=np.float64)
         single = arr.ndim == 1
         if single:
@@ -289,25 +329,40 @@ class Reservoir:
             raise ValueError(f"unknown mode {mode!r}")
         return z[0] if single else z
 
-    def _project_images(self, images: np.ndarray) -> np.ndarray:
+    def _pixels(self, images: np.ndarray) -> np.ndarray:
+        """The (N, 784) pixel view of an (N, 28, 28) stack."""
         if images.shape[1:] != (28, 28) or self.config.input_dim != INPUT_DIM:
             raise ValueError(
                 f"expected (N, 28, 28) images for input_dim {INPUT_DIM}, got shape "
                 f"{images.shape} for input_dim {self.config.input_dim}"
             )
+        return images.reshape(images.shape[0], INPUT_DIM - 1)
+
+    def _project_images(self, pixels: np.ndarray) -> np.ndarray:
         w_t = self.matrix().T
-        n = images.shape[0]
-        pixels = images.reshape(n, INPUT_DIM - 1)
+        n = pixels.shape[0]
         z = np.empty((n, self.config.reservoir_size), dtype=np.float64)
-        chunks = max(1, -(-n // PROJECTION_CHUNK_ROWS))
-        bounds = [k * n // chunks for k in range(chunks + 1)]
-        buf = np.empty((-(-n // chunks), INPUT_DIM), dtype=np.float64)
+        chunks = _chunks(n, PROJECTION_CHUNK_ROWS)
+        buf = np.empty((max(b - a for a, b in chunks), INPUT_DIM), dtype=np.float64)
         buf[:, 0] = 1.0
-        for start, stop in zip(bounds, bounds[1:]):
+        for start, stop in chunks:
             rows = buf[: stop - start]
             np.divide(pixels[start:stop], 255.0, out=rows[:, 1:], dtype=np.float64)
             np.matmul(rows, w_t, out=z[start:stop])
         return z
+
+    def _stream_images(self, pixels: np.ndarray) -> np.ndarray:
+        n = pixels.shape[0]
+        # (P, N) sums returned transposed, the layout of a whole-batch stream
+        z_t = np.empty((self.config.reservoir_size, n), dtype=np.float64)
+        chunks = _chunks(n, STREAM_CHUNK_ROWS)
+        buf = np.empty((INPUT_DIM, max(b - a for a, b in chunks)), dtype=np.float64)
+        buf[0] = 1.0
+        for start, stop in chunks:
+            columns = buf[:, : stop - start]
+            np.divide(pixels[start:stop].T, 255.0, out=columns[1:], dtype=np.float64)
+            z_t[:, start:stop] = _stream_preactivation(self.config, columns)
+        return z_t.T
 
     def fit(
         self, inputs: np.ndarray, mode: Literal["materialized", "streaming"] = "materialized"

@@ -1,8 +1,10 @@
 """End-to-end runs of every subcommand against a synthetic IDX corpus,
 plus the exit-code contract."""
 
+import copy
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from chaosnet.cli import (
     EXIT_DIVERGENCE,
     EXIT_OK,
     EXIT_OVERFLOW,
+    _apply_set,
     main,
     settings,
 )
@@ -457,6 +460,36 @@ def test_manifest_digest_is_deterministic(tmp_path):
     assert keep(text_a) == keep(text_b)
 
 
+def test_manifest_records_numpy_version_and_blas_threads(tmp_path):
+    """The projection's last bits depend on both, so the hash must cover them."""
+    out = tmp_path / "ana"
+    assert run(*analyze_smoke_args(out)) == EXIT_OK
+    manifest = yaml.safe_load((out / "manifest-analyze.yaml").read_text())
+    assert manifest["numpy"] == np.__version__
+    threads = manifest["blas_threads"]
+    assert threads is None or (isinstance(threads, int) and threads >= 1)
+
+
+def test_float_keys_take_ints_and_numeric_strings():
+    config = copy.deepcopy(DEFAULT_CONFIG)
+    for expression in ("train.learning_rate=1e-3", "params.a1=1", "split.fraction='0.25'"):
+        _apply_set(config, expression)
+    assert config["train"]["learning_rate"] == "1e-3"  # PyYAML's reading
+    s = settings(config)
+    assert s.train.learning_rate == 0.001
+    assert s.reservoir.params.a1 == 1.0 and isinstance(s.reservoir.params.a1, float)
+    assert s.split.optimization_fraction == 0.25
+
+
+def test_path_keys_become_paths():
+    config = copy.deepcopy(DEFAULT_CONFIG)
+    s = settings(config)
+    assert (s.data_dir, s.output_dir, s.model_path) == (None, Path("out"), None)
+    config.update(data_dir="d", output_dir="o", model_path="m.json")
+    s = settings(config)
+    assert (s.data_dir, s.output_dir, s.model_path) == (Path("d"), Path("o"), Path("m.json"))
+
+
 # ---------------------------------------------------------------- bad input
 
 
@@ -584,3 +617,42 @@ def test_unknown_sweep_parameter_exits_2(tmp_path):
         "sweep.parameter=a9",
     )
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "command, expression",
+    [
+        # checked, not coerced: each was read as another value
+        ("analyze", "sweep.with_accuracy=maybe"),  # was true
+        ("train", "split.stratified=1"),  # was true
+        ("train", "architecture.P=2.7"),  # was 2
+        ("train", "architecture.H=2.5"),  # was 2
+        ("analyze", "analysis.poincare_count=10.7"),  # was 10
+        ("train", "subset=2.5"),  # was 2
+        ("train", "seed=1.5"),  # was 1
+        ("train", "method=true"),  # was method 1
+        ("train", "train.max_epochs=true"),  # was 1
+        ("train", "params.a1=true"),  # was 1.0
+        ("grid", "grid.methods=[4.5]"),  # was method 4
+        ("grid", "grid.architectures=[[25.5, null]]"),  # was P = 25
+        # escaped as an OverflowError traceback
+        pytest.param("train", "params.a1=1" + "0" * 400, id="train-params.a1=1e400-as-int"),
+        # path keys: each escaped as a TypeError, or opened file descriptor 5
+        ("analyze", "output_dir=null"),
+        ("analyze", "output_dir=[a]"),
+        ("train", "data_dir=5"),
+        ("train", "model_path=[m.json]"),
+        ("report", "model_path=5"),
+    ],
+)
+def test_value_of_another_type_exits_2_before_reading_data(
+    synthetic_data_dir, tmp_path, monkeypatch, command, expression
+):
+    out = tmp_path / "o"
+    monkeypatch.chdir(tmp_path)
+    reads = []
+    monkeypatch.setattr(mnist, "load_mnist", lambda *args: reads.append(args))
+    code = run(command, *common_flags(synthetic_data_dir, out), "--set", expression)
+    assert code == EXIT_CONFIG
+    assert reads == []
+    assert not out.exists() and list(tmp_path.iterdir()) == []  # no manifest anywhere

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chaosnet import reservoir
 from chaosnet.maps import MapOverflowError, MapParams, iterate_series
 from chaosnet.reservoir import (
     FILL_METHODS,
     INPUT_DIM,
     PROJECTION_CHUNK_ROWS,
     SINE_INIT_Y0,
+    STREAM_CHUNK_ROWS,
     FillMethod,
     NotFittedError,
     Reservoir,
@@ -545,3 +547,93 @@ def test_streaming_reads_the_weights_of_build_matrix(method_id, size, position, 
         return
     assert single.tobytes() == matrix[:, columns[0]].tobytes()
     assert batch.tobytes() == matrix[:, list(columns)].T.tobytes()
+
+
+# ---------------------------------------------------------------- warm-up cache and stack streaming
+
+# method-4 search-box positions whose unclamped orbit from (A, B) overflows
+# after the 10,000-step warm-up, inside the P = 25 fill, and during it
+OVERFLOW_AFTER_WARM_UP = ((0.682, 3.36, 0.645, 0.703, 1.348, 1.152), 23153)
+OVERFLOW_IN_WARM_UP = ((0.138, 2.444, 1.202, 0.873, 0.141, 0.65), 10)
+
+
+@pytest.mark.parametrize("position, iteration", [OVERFLOW_AFTER_WARM_UP, OVERFLOW_IN_WARM_UP])
+def test_overflow_is_counted_from_the_initial_condition_by_every_path(position, iteration):
+    """Each path raises at the step counted from (A, B), warm-up included,
+    on the first call and on every later one: the cache keeps no exception."""
+    config = ReservoirConfig(FillMethod.from_id(4), params_from_position(position), 25)
+    res = Reservoir(config)
+    rows = np.random.default_rng(14).random((3, INPUT_DIM))
+    images = np.zeros((2, 28, 28), dtype=np.uint8)
+    paths = [
+        lambda: build_matrix(config),
+        lambda: res.preactivation(rows[0], "streaming"),
+        lambda: res.preactivation(rows, "streaming"),
+        lambda: res.preactivation(images, "streaming"),
+    ]
+    for compute in 2 * paths:
+        assert _streamed_or_overflow(compute) == iteration
+
+
+def test_warm_up_runs_once_per_parameters(reservoir_config):
+    res = Reservoir(reservoir_config(method_id=4, reservoir_size=3))
+    rows = np.random.default_rng(15).random((2, INPUT_DIM))
+    reservoir._cached_warm_state.cache_clear()
+    first = res.preactivation(rows[0], "streaming")
+    again = res.preactivation(rows[0], "streaming")
+    res.preactivation(rows[1], "streaming")
+    info = reservoir._cached_warm_state.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert first.tobytes() == again.tobytes()
+
+
+def test_warm_state_tells_signed_zeros_apart():
+    """MapParams compare 0.0 equal to -0.0, but an orbit of zeros keeps the
+    sign of its start, so each sign gets its own cached state."""
+    params = MapParams(-1.0, -1.0, 0.0, 0.0, -0.0, -0.0)
+    for p in (params, params.replace(A=0.0, B=0.0), params):
+        config = ReservoirConfig(FillMethod.from_id(4), p, 2, input_dim=3)
+        expected = math.copysign(1.0, p.A)
+        assert all(math.copysign(1.0, w) == expected for w in build_matrix(config).flat)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    method_id=st.integers(min_value=1, max_value=6),
+    size=st.integers(min_value=1, max_value=6),
+    chunk=st.integers(min_value=2, max_value=5),
+    offset=st.sampled_from([None, -1, 0, 1, 7]),  # None: a single image
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_streamed_stack_equals_streamed_flattened_rows(method_id, size, chunk, offset, seed):
+    """A uint8 stack streams in chunks of at most STREAM_CHUNK_ROWS images
+    exactly as its flattened float rows stream in one batch."""
+    n = 1 if offset is None else chunk + offset
+    config = ReservoirConfig(FillMethod.from_id(method_id), STABLE_PARAMS, size)
+    images = np.random.default_rng(seed).integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+    images[:, 0, :2] = [0, 255]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reservoir, "STREAM_CHUNK_ROWS", chunk)
+        got = Reservoir(config).preactivation(images, "streaming")
+    expected = Reservoir(config).preactivation(flatten_images(images), "streaming")
+    assert got.shape == expected.shape == (n, size)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_streaming_a_stack_holds_one_chunk_of_floats(reservoir_config):
+    """20,000 images stream in two chunks of 10,000 through one 63 MB buffer;
+    a float copy of the whole stack would be 126 MB."""
+    import tracemalloc
+
+    n = 20_000
+    assert STREAM_CHUNK_ROWS < n
+    res = Reservoir(reservoir_config(method_id=4, reservoir_size=2))
+    images = np.random.default_rng(16).integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res.preactivation(images, "streaming")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * INPUT_DIM * STREAM_CHUNK_ROWS + 4e6, f"peak {peak / 1e6:.0f} MB"
