@@ -13,7 +13,7 @@ from chaosnet.reservoir import FillMethod, ReservoirConfig, Reservoir, flatten_i
 from chaosnet.network import Architecture, TrainConfig, NetworkModel, train, evaluate
 from chaosnet.rpso import SwarmConfig, Swarm, optimize
 from chaosnet.analysis import ApEnConfig, SweepConfig, approximate_entropy, poincare_pairs, bifurcation_sweep
-from chaosnet.mnist import LabeledDataset, SplitPlan, load_idx, make_split
+from chaosnet.mnist import LabeledDataset, SplitPlan, load_idx
 from chaosnet.footprint import FootprintReport
 
 __version__ = "0.1.0"
@@ -43,7 +43,6 @@ __all__ = [
     "LabeledDataset",
     "SplitPlan",
     "load_idx",
-    "make_split",
     "FootprintReport",
     "__version__",
 ]

@@ -417,9 +417,14 @@ def _search_objective(s: Settings, score_on_test: bool):
 
 
 def cmd_optimize(config: dict, s: Settings, resume_path: str | None = None) -> int:
+    swarm = None
     if resume_path:
+        try:
+            swarm = rpso.load_checkpoint(resume_path)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise IdxFormatError(f"cannot read checkpoint {resume_path}: {exc}") from exc
         # the manifest must describe the run the checkpoint continues
-        saved = rpso.load_checkpoint(resume_path).config.as_dict()
+        saved = swarm.config.as_dict()
         wanted = s.swarm.as_dict()
         differ = sorted(k for k in wanted if saved[k] != wanted[k])
         if differ:
@@ -431,28 +436,28 @@ def cmd_optimize(config: dict, s: Settings, resume_path: str | None = None) -> i
     manifest_path, digest = write_manifest(config, out, "optimize")
     objective = _search_objective(s, score_on_test=False)
     checkpoint = out / "checkpoint.json"
-    if resume_path:
-        result = rpso.resume(objective, resume_path, checkpoint_path=checkpoint)
+    if swarm is not None:
+        swarm = rpso.resume(objective, swarm, checkpoint_path=checkpoint)
     else:
-        result = rpso.optimize(objective, s.swarm, checkpoint_path=checkpoint)
+        swarm = rpso.optimize(objective, s.swarm, checkpoint_path=checkpoint)
 
     trace_path = out / "trace.csv"
-    rpso.write_trace_csv(result, trace_path, comment=_csv_comment(digest))
-    best = rpso.params_from_position(result.best_position)
+    rpso.write_trace_csv(swarm, trace_path, comment=_csv_comment(digest))
+    best = rpso.params_from_position(swarm.gbest_position)
     best_path = out / "best_params.yaml"
     best_path.write_text(
         yaml.safe_dump(
             {
                 "A": best.A, "B": best.B, "a1": best.a1, "a2": best.a2,
                 "a3": best.a3, "a4": best.a4,
-                "fitness": result.best_fitness,
-                "evaluations": result.evaluations,
+                "fitness": swarm.gbest_fitness,
+                "evaluations": swarm.evaluations,
             },
             sort_keys=True,
         ),
         encoding="ascii",
     )
-    print(f"best fitness {result.best_fitness:.6f} after {result.evaluations} evaluations")
+    print(f"best fitness {swarm.gbest_fitness:.6f} after {swarm.evaluations} evaluations")
     print(f"wrote {trace_path}, {best_path}, {manifest_path}")
     return EXIT_OK
 
@@ -550,11 +555,11 @@ def cmd_analyze(config: dict, s: Settings) -> int:
 
 
 def cmd_report(config: dict, s: Settings) -> int:
-    out = _output_dir(s)
-    manifest_path, digest = write_manifest(config, out, "report")
     model_path = s.model_path
     if model_path is None:
         raise ConfigError("report needs model_path (or --model)")
+    out = _output_dir(s)
+    manifest_path, digest = write_manifest(config, out, "report")
     try:
         model = network.load_model(model_path)
     except (ValueError, KeyError, TypeError) as exc:

@@ -19,7 +19,6 @@ import numpy as np
 
 IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
-TRAIN_BASE_SIZE = 60_000
 OPTIMIZATION_FRACTION = 0.2
 N_CLASSES = 10
 
@@ -85,9 +84,6 @@ class LabeledDataset:
         idx = np.asarray(indices, dtype=np.int64)
         return LabeledDataset(self.images[idx], self.labels[idx], provenance)
 
-    def class_histogram(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=N_CLASSES)
-
 
 def _read_raw(path) -> bytes:
     path = os.fspath(path)
@@ -147,34 +143,6 @@ def load_idx(images_path, labels_path, provenance: str = "unspecified") -> Label
     return LabeledDataset(images, labels, provenance)
 
 
-def serialize_images(images: np.ndarray) -> bytes:
-    images = np.asarray(images, dtype=np.uint8)
-    n, rows, cols = images.shape
-    return struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols) + images.tobytes()
-
-
-def serialize_labels(labels: np.ndarray) -> bytes:
-    labels = np.asarray(labels, dtype=np.uint8)
-    return struct.pack(">II", LABEL_MAGIC, labels.shape[0]) + labels.tobytes()
-
-
-def save_idx(dataset: LabeledDataset, images_path, labels_path) -> None:
-    """Write the IDX pair; gzip container chosen by extension (mtime zeroed
-    so equal datasets compress to equal files)."""
-    for path, payload in (
-        (images_path, serialize_images(dataset.images)),
-        (labels_path, serialize_labels(dataset.labels)),
-    ):
-        path = os.fspath(path)
-        if path.endswith(".gz"):
-            with open(path, "wb") as fh:
-                with gzip.GzipFile(filename="", fileobj=fh, mode="wb", mtime=0) as gz:
-                    gz.write(payload)
-        else:
-            with open(path, "wb") as fh:
-                fh.write(payload)
-
-
 @dataclass(frozen=True)
 class SplitPlan:
     optimization_fraction: float = OPTIMIZATION_FRACTION
@@ -192,11 +160,14 @@ def split_indices(labels: np.ndarray, plan: SplitPlan) -> np.ndarray:
     """Seeded sample without replacement over ``labels``, ascending indices.
 
     Stratified mode takes an equal quota per class (target // 10, remainder
-    assigned one each to the lowest class indices).
+    assigned one each to the lowest class indices).  A split of no rows is
+    refused, since nothing could be trained on it.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
     target = round(plan.optimization_fraction * n)
+    if target == 0:
+        raise ValueError(f"a fraction {plan.optimization_fraction} of {n} rows is no rows")
     rng = np.random.default_rng(plan.rng_seed)
     if not plan.stratified:
         return np.sort(rng.choice(n, size=target, replace=False))
@@ -211,16 +182,6 @@ def split_indices(labels: np.ndarray, plan: SplitPlan) -> np.ndarray:
             )
         picks.append(rng.choice(pool, size=want, replace=False))
     return np.sort(np.concatenate(picks))
-
-
-def make_split(train: LabeledDataset, plan: SplitPlan) -> LabeledDataset:
-    """The optimization subset drawn from the canonical training base."""
-    if len(train) != TRAIN_BASE_SIZE:
-        raise ValueError(
-            f"expected the {TRAIN_BASE_SIZE}-item training base, got {len(train)} items"
-        )
-    idx = split_indices(train.labels, plan)
-    return train.subset(idx, "optimization12k")
 
 
 def default_data_dir() -> Path:
@@ -266,11 +227,7 @@ __all__ = [
     "LabeledDataset",
     "SplitPlan",
     "load_idx",
-    "save_idx",
-    "serialize_images",
-    "serialize_labels",
     "split_indices",
-    "make_split",
     "find_mnist",
     "load_mnist",
     "default_data_dir",
@@ -280,6 +237,5 @@ __all__ = [
     "IdxCountMismatchError",
     "IMAGE_MAGIC",
     "LABEL_MAGIC",
-    "TRAIN_BASE_SIZE",
     "OPTIMIZATION_FRACTION",
 ]

@@ -73,17 +73,6 @@ class Architecture:
             return f"{input_pixels}:{self.reservoir_size}:{self.n_classes}"
         return f"{input_pixels}:{self.reservoir_size}:{self.hidden_size}:{self.n_classes}"
 
-    @property
-    def weight_count(self) -> int:
-        """Trainable values including bias columns."""
-        return sum(out * fan for out, fan in self.layer_shapes)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
@@ -135,11 +124,6 @@ class Classifier:
     def logits(self, features: np.ndarray) -> np.ndarray:
         out, _ = self._forward(np.atleast_2d(np.asarray(features, dtype=np.float64)))
         return out
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        arr = np.asarray(features, dtype=np.float64)
-        probs = softmax(self.logits(arr))
-        return probs[0] if arr.ndim == 1 else probs
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         arr = np.asarray(features, dtype=np.float64)
@@ -208,10 +192,6 @@ class Classifier:
                 raise TrainingDivergedError(epoch)
             history.append(mean_loss)
         return history
-
-    def accuracy(self, features: np.ndarray, labels: np.ndarray) -> float:
-        pred = self.predict(np.atleast_2d(np.asarray(features, dtype=np.float64)))
-        return float((pred == np.asarray(labels)).mean())
 
     # -- serialization -------------------------------------------------------
 
@@ -437,7 +417,6 @@ __all__ = [
     "evaluate",
     "save_model",
     "load_model",
-    "softmax",
     "log_softmax",
     "cross_entropy",
     "numeric_gradients",

@@ -237,8 +237,8 @@ def _stream_preactivation(config: ReservoirConfig, columns: np.ndarray) -> np.nd
     return np.array(acc)[:, None] if single else acc
 
 
-def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
-    """Overwrite ``z`` with its logistic function and return it.
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Overwrite the float64 array ``z`` with its logistic function and return it.
 
     With e = exp(-|z|) the value is 1 / (1 + e) where z >= 0 and e / (1 + e)
     elsewhere, so no exp overflows.  Besides ``z`` it holds one boolean mask
@@ -251,16 +251,11 @@ def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
     return np.divide(z, denom, out=z)
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function, stable for large |z|."""
-    return _sigmoid_in_place(np.array(z, dtype=np.float64))
-
-
 class Reservoir:
     """Fixed input transform S = f(W @ Y) with per-neuron normalization.
 
-    ``fit`` gathers min/max statistics of the pre-activations over a
-    training set; ``transform`` then rescales each neuron to [0, 1] with
+    ``fit_transform`` gathers min/max statistics of the pre-activations over
+    a training set; ``transform`` then rescales each neuron to [0, 1] with
     those statistics and applies a logistic sigmoid.  The statistics are
     part of the trained model artifact.
     """
@@ -305,14 +300,14 @@ class Reservoir:
         edge apart (the one-call product itself changes with the number of
         BLAS threads).
         """
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
         arr = np.asarray(inputs)
         if arr.ndim == 3:
             pixels = self._pixels(arr)
             if mode == "materialized":
                 return self._project_images(pixels)
-            if mode == "streaming":
-                return self._stream_images(pixels)
-            raise ValueError(f"unknown mode {mode!r}")
+            return self._stream_images(pixels)
         arr = np.asarray(arr, dtype=np.float64)
         single = arr.ndim == 1
         if single:
@@ -323,10 +318,8 @@ class Reservoir:
             )
         if mode == "materialized":
             z = arr @ self.matrix().T
-        elif mode == "streaming":
-            z = _stream_preactivation(self.config, np.ascontiguousarray(arr.T)).T
         else:
-            raise ValueError(f"unknown mode {mode!r}")
+            z = _stream_preactivation(self.config, np.ascontiguousarray(arr.T)).T
         return z[0] if single else z
 
     def _pixels(self, images: np.ndarray) -> np.ndarray:
@@ -364,30 +357,21 @@ class Reservoir:
             z_t[:, start:stop] = _stream_preactivation(self.config, columns)
         return z_t.T
 
-    def fit(
-        self, inputs: np.ndarray, mode: Literal["materialized", "streaming"] = "materialized"
-    ) -> "Reservoir":
-        """Gather per-neuron min/max over a training set."""
-        self._fit_statistics(self.preactivation(inputs, mode))
-        return self
-
     def fit_transform(
         self, inputs: np.ndarray, mode: Literal["materialized", "streaming"] = "materialized"
     ) -> np.ndarray:
-        """``fit(inputs)`` then ``transform(inputs)`` from one projection.
+        """Gather per-neuron min/max over a training set and return its
+        :meth:`transform`, from one projection.
 
         The pre-activations are computed once, give the min/max statistics,
         and are normalized in place before the sigmoid, so a training set is
-        projected once instead of twice.  Equal bit for bit to the two calls.
+        projected once instead of twice.
         """
         z = self.preactivation(inputs, mode)
-        self._fit_statistics(z)
+        rows = np.atleast_2d(z)
+        self.z_min = rows.min(axis=0)
+        self.z_max = rows.max(axis=0)
         return self._squash(z)
-
-    def _fit_statistics(self, z: np.ndarray) -> None:
-        z = np.atleast_2d(z)
-        self.z_min = z.min(axis=0)
-        self.z_max = z.max(axis=0)
 
     def set_statistics(self, z_min: np.ndarray, z_max: np.ndarray) -> "Reservoir":
         """Install previously fitted statistics (model deserialization)."""
@@ -416,4 +400,4 @@ class Reservoir:
         z -= self.z_min
         z /= np.where(live, span, 1.0)
         z[..., ~live] = 0.0
-        return _sigmoid_in_place(z)
+        return sigmoid(z)

@@ -258,34 +258,38 @@ def immigrate(swarm: Swarm) -> np.ndarray:
     return chosen
 
 
-@dataclass
-class SwarmResult:
-    best_position: np.ndarray
-    best_fitness: float
-    trace: list[FitnessRecord] = field(default_factory=list)
-    immigrant_counts: list[int] = field(default_factory=list)
-    evaluations: int = 0
-
-
 def optimize(
     objective: Callable[[np.ndarray], float],
     config: SwarmConfig,
     rng: np.random.Generator | int | None = None,
     callback: Callable[[int, Swarm], None] | None = None,
     checkpoint_path=None,
-) -> SwarmResult:
+) -> Swarm:
     """Run ``iterations`` rounds of step + immigration; maximizes.
 
-    The trace records the global best after initialization and after each
-    iteration (``iterations + 1`` entries) and never decreases.  When
-    ``checkpoint_path`` is set the swarm is snapshotted after every
-    iteration and an interrupted run can continue via :func:`resume`.
+    Returns the final swarm.  Its trace records the global best after
+    initialization and after each iteration (``iterations + 1`` entries) and
+    never decreases.  When ``checkpoint_path`` is set the swarm is
+    snapshotted after every iteration and an interrupted run can continue
+    via :func:`resume`.
     """
-    swarm = init_swarm(objective, config, rng)
-    return _run(swarm, objective, callback, checkpoint_path)
+    return resume(objective, init_swarm(objective, config, rng), callback, checkpoint_path)
 
 
-def _run(swarm, objective, callback, checkpoint_path) -> SwarmResult:
+def resume(
+    objective: Callable[[np.ndarray], float],
+    swarm: Swarm,
+    callback: Callable[[int, Swarm], None] | None = None,
+    checkpoint_path=None,
+) -> Swarm:
+    """Run ``swarm`` on until ``swarm.config.iterations`` and return it.
+
+    Given the swarm :func:`load_checkpoint` read from an interrupted
+    :func:`optimize` run, which carries the trace and immigrant counts
+    recorded so far, the result equals the uninterrupted run's (wall times
+    aside).  The swarm is snapshotted to ``checkpoint_path`` after every
+    iteration when it is set.
+    """
     # wall times continue from the last recorded one, so a resumed trace
     # reads as one run
     start = time.monotonic() - (swarm.trace[-1].wall_time if swarm.trace else 0.0)
@@ -297,31 +301,7 @@ def _run(swarm, objective, callback, checkpoint_path) -> SwarmResult:
             save_checkpoint(swarm, checkpoint_path)
         if callback is not None:
             callback(swarm.iteration, swarm)
-    return SwarmResult(
-        swarm.gbest_position.copy(),
-        swarm.gbest_fitness,
-        list(swarm.trace),
-        list(swarm.immigrant_counts),
-        swarm.evaluations,
-    )
-
-
-def resume(
-    objective: Callable[[np.ndarray], float],
-    source,
-    callback: Callable[[int, Swarm], None] | None = None,
-    checkpoint_path=None,
-) -> SwarmResult:
-    """Continue an interrupted :func:`optimize` run from the checkpoint file
-    ``source``.
-
-    The checkpoint carries the trace and immigrant counts recorded so far,
-    so the result equals the uninterrupted run's (wall times aside).  As in
-    :func:`optimize`, the swarm is snapshotted to ``checkpoint_path`` after
-    every iteration when it is set; ``source`` is only read.
-    """
-    swarm = load_checkpoint(source)
-    return _run(swarm, objective, callback, checkpoint_path)
+    return swarm
 
 
 def save_checkpoint(swarm: Swarm, path) -> None:
@@ -394,14 +374,14 @@ def load_checkpoint(path) -> Swarm:
     )
 
 
-def write_trace_csv(result: SwarmResult, path, comment: str | None = None) -> None:
-    d = result.best_position.size
+def write_trace_csv(swarm: Swarm, path, comment: str | None = None) -> None:
+    d = swarm.gbest_position.size
     with open(path, "w", encoding="ascii") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         cols = ",".join(f"best_x{i}" for i in range(d))
         fh.write(f"iteration,best_fitness,{cols}\n")
-        for rec in result.trace:
+        for rec in swarm.trace:
             pos = ",".join(f"{v:.17g}" for v in rec.position)
             fh.write(f"{rec.iteration},{rec.fitness:.17g},{pos}\n")
 
@@ -459,7 +439,6 @@ def make_accuracy_objective(
 __all__ = [
     "SwarmConfig",
     "Swarm",
-    "SwarmResult",
     "FitnessRecord",
     "OptimizationError",
     "init_swarm",

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from chaosnet.maps import MapParams
-from chaosnet.mnist import LabeledDataset, find_mnist, save_idx
+from chaosnet.mnist import LabeledDataset, find_mnist
 from chaosnet.network import Architecture, TrainConfig, train
 from chaosnet.reservoir import FillMethod, ReservoirConfig
+
+from idx_writer import save_idx
 
 # Orbit parameters used by most feature-level tests.  a1 = 0.9 sits in the
 # chaotic band and none of the six filling methods overflow with it.

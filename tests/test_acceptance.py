@@ -324,7 +324,7 @@ def test_criterion_08_sphere_benchmark():
     finals = {}
     for seed in range(5):
         result = optimize(sphere, sphere_config(seed))
-        finals[seed] = result.best_fitness
+        finals[seed] = result.gbest_fitness
     passed = {s: f for s, f in finals.items() if f > -1e-3}
     detail = ", ".join(f"seed {s}: {f:.3e}" for s, f in finals.items())
     if len(passed) < len(finals):

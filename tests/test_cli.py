@@ -157,6 +157,7 @@ def test_report_counts_streaming_values(trained_model_path, tmp_path):
 
 def test_report_without_model_exits_2(tmp_path):
     assert run("report", "--output-dir", str(tmp_path / "o")) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
 
 
 def test_report_corrupt_model_exits_3(tmp_path):
@@ -287,6 +288,24 @@ def test_optimize_resume_with_another_config_exits_2(synthetic_data_dir, tmp_pat
     # refused before the manifest is written or the (here missing) data is read
     assert run(*resumed) == EXIT_CONFIG
     assert not (resumed_out / "manifest-optimize.yaml").exists()
+
+
+@pytest.mark.parametrize("payload", ["not json {", '{"a": 1}'])
+def test_optimize_resume_from_malformed_checkpoint_exits_3(
+    synthetic_data_dir, tmp_path, payload
+):
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(payload)
+    out = tmp_path / "opt"
+    args = optimize_smoke_args(synthetic_data_dir, out)
+    assert run(*args, "--resume", str(checkpoint)) == EXIT_DATA
+    assert not (out / "manifest-optimize.yaml").exists()
+
+
+def test_optimize_with_an_empty_split_exits_3(synthetic_data_dir, tmp_path):
+    # a fraction 0.2 of 2 rows rounds to no rows to train on
+    out = tmp_path / "opt"
+    assert run("optimize", *common_flags(synthetic_data_dir, out), "--subset", "2") == EXIT_DATA
 
 
 # ---------------------------------------------------------------- analyze

@@ -18,12 +18,10 @@ from chaosnet.mnist import (
     find_mnist,
     load_idx,
     load_mnist,
-    make_split,
-    save_idx,
-    serialize_images,
-    serialize_labels,
     split_indices,
 )
+
+from idx_writer import save_idx, serialize_images, serialize_labels
 
 
 def tiny_dataset(count=20, seed=0):
@@ -174,7 +172,7 @@ def test_dataset_len_histogram_subset():
     labels = np.array([0, 0, 1, 2, 2, 2], dtype=np.uint8)
     ds = LabeledDataset(images, labels, provenance="base")
     assert len(ds) == 6
-    hist = ds.class_histogram()
+    hist = np.bincount(ds.labels, minlength=10)
     assert hist.tolist() == [2, 1, 3, 0, 0, 0, 0, 0, 0, 0]
     sub = ds.subset([2, 3], provenance="picked")
     assert len(sub) == 2
@@ -238,20 +236,21 @@ def test_split_plan_validation():
         SplitPlan(optimization_fraction=1.2)
 
 
-def test_make_split_requires_full_training_set():
-    ds = tiny_dataset(100)
-    with pytest.raises(ValueError):
-        make_split(ds, SplitPlan())
+def test_split_of_no_rows_is_refused():
+    labels = balanced_labels(1)[:2]  # a fraction 0.2 of 2 rows rounds to 0
+    for stratified in (True, False):
+        with pytest.raises(ValueError):
+            split_indices(labels, SplitPlan(rng_seed=0, stratified=stratified))
 
 
-def test_make_split_produces_optimization_subset():
+def test_split_subset_is_the_optimization_subset_of_the_training_base():
     images = np.zeros((60000, 28, 28), dtype=np.uint8)
     labels = np.tile(np.arange(10, dtype=np.uint8), 6000)
     ds = LabeledDataset(images, labels, provenance="train60k")
-    sub = make_split(ds, SplitPlan())
+    sub = ds.subset(split_indices(ds.labels, SplitPlan()), "optimization12k")
     assert len(sub) == 12000
     assert sub.provenance == "optimization12k"
-    assert np.all(sub.class_histogram() == 1200)
+    assert np.all(np.bincount(sub.labels, minlength=10) == 1200)
 
 
 # ---------------------------------------------------------------- discovery

@@ -14,9 +14,9 @@ from chaosnet.network import (
     evaluate,
     gradient_check,
     load_model,
+    log_softmax,
     numeric_gradients,
     save_model,
-    softmax,
     train,
 )
 from chaosnet.reservoir import FillMethod, ReservoirConfig
@@ -34,24 +34,26 @@ def toy_reservoir_config(reservoir_size=25):
 
 # ---------------------------------------------------------------- softmax head
 
+# the head exposes its softmax in log form; exp gives the probabilities
+
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
     logits = rng.normal(scale=30, size=(40, 10))
-    probs = softmax(logits)
+    probs = np.exp(log_softmax(logits))
     assert np.all(probs > 0)
     assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
 
 
 def test_softmax_is_shift_invariant():
     logits = np.array([[1.0, 2.0, 3.0]])
-    assert np.allclose(softmax(logits), softmax(logits + 1000.0), atol=1e-12)
+    assert np.allclose(log_softmax(logits), log_softmax(logits + 1000.0), atol=1e-12)
 
 
 def test_softmax_survives_extreme_logits():
-    probs = softmax(np.array([[1e4, 0.0, -1e4]]))
-    assert np.all(np.isfinite(probs))
-    assert probs[0, 0] == pytest.approx(1.0)
+    logp = log_softmax(np.array([[1e4, 0.0, -1e4]]))
+    assert np.all(np.isfinite(logp))
+    assert np.exp(logp[0, 0]) == pytest.approx(1.0)
 
 
 def test_cross_entropy_hand_value():
@@ -64,8 +66,8 @@ def test_cross_entropy_hand_value():
 def test_zero_weights_give_uniform_probabilities(hidden):
     clf = Classifier(Architecture(5, *hidden), rng=0)
     clf.weights = [np.zeros_like(w) for w in clf.weights]
-    probs = clf.predict_proba(np.random.default_rng(1).random((6, 5)))
-    assert np.allclose(probs, 0.1, atol=1e-15)
+    logits = clf.logits(np.random.default_rng(1).random((6, 5)))
+    assert np.allclose(np.exp(log_softmax(logits)), 0.1, atol=1e-15)
 
 
 def test_hand_computed_forward_pass():
@@ -89,7 +91,7 @@ def test_hand_computed_forward_pass():
     ]
     denom = sum(math.exp(v) for v in z)
     expected = [math.exp(v) / denom for v in z]
-    assert np.allclose(clf.predict_proba(features)[0], expected, atol=1e-12)
+    assert np.allclose(np.exp(log_softmax(clf.logits(features)))[0], expected, atol=1e-12)
     assert clf.predict(features)[0] == 1
     assert clf.loss(features, np.array([1])) == pytest.approx(
         -math.log(expected[1]), abs=1e-12
@@ -174,7 +176,7 @@ def test_sgd_reduces_loss_on_separable_data():
     )
     assert len(history) == 30
     assert history[-1] < history[0]
-    assert clf.accuracy(features, labels) > 0.95
+    assert (clf.predict(features) == labels).mean() > 0.95
 
 
 def test_training_is_deterministic(toy_dataset):
@@ -249,7 +251,7 @@ def test_evaluate_single_correct_sample(tiny_trained_model):
 def test_classifier_rejects_feature_width_mismatch():
     clf = Classifier(Architecture(4), rng=0)
     with pytest.raises(ValueError):
-        clf.predict_proba(np.zeros((2, 5)))
+        clf.logits(np.zeros((2, 5)))
 
 
 def test_train_and_evaluate_on_60k_images_stay_under_100_mb():
@@ -282,8 +284,8 @@ def test_architecture_describe_strings():
 
 
 def test_architecture_weight_counts():
-    assert Architecture(25).weight_count == 10 * 26
-    assert Architecture(100, 60).weight_count == 60 * 101 + 10 * 61
+    assert Architecture(25).layer_shapes == [(10, 26)]
+    assert Architecture(100, 60).layer_shapes == [(60, 101), (10, 61)]
 
 
 def test_architecture_validation():

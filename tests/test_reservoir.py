@@ -341,8 +341,11 @@ def test_fit_transform_equals_fit_then_transform(reservoir_config, mode):
     config = reservoir_config(method_id=3, reservoir_size=6)
     once = Reservoir(config)
     features = once.fit_transform(images, mode)
-    twice = Reservoir(config).fit(flatten_images(images), mode)
-    assert features.tobytes() == twice.transform(flatten_images(images), mode).tobytes()
+    assert features.tobytes() == once.transform(images, mode).tobytes()
+    rows = flatten_images(images)
+    twice = Reservoir(config)
+    twice.fit_transform(rows, mode)
+    assert features.tobytes() == twice.transform(rows, mode).tobytes()
     assert once.z_min.tobytes() == twice.z_min.tobytes()
     assert once.z_max.tobytes() == twice.z_max.tobytes()
 
@@ -361,7 +364,7 @@ def test_transform_is_minmax_then_sigmoid(reservoir_config):
     res = Reservoir(reservoir_config(reservoir_size=4))
     rng = np.random.default_rng(8)
     rows = rng.random((20, INPUT_DIM))
-    res.fit(rows)
+    res.fit_transform(rows)
     assert res.fitted
     z = res.preactivation(rows)
     u = (z - z.min(axis=0)) / (z.max(axis=0) - z.min(axis=0))
@@ -372,7 +375,7 @@ def test_transform_training_extremes_hit_unit_interval(reservoir_config):
     res = Reservoir(reservoir_config(reservoir_size=3))
     rng = np.random.default_rng(9)
     rows = rng.random((10, INPUT_DIM))
-    res.fit(rows)
+    res.fit_transform(rows)
     features = res.transform(rows)
     assert features.min() >= sigmoid(np.array(0.0)) - 1e-15
     assert features.max() <= sigmoid(np.array(1.0)) + 1e-15
@@ -396,7 +399,7 @@ def test_transform_streaming_equals_materialized(reservoir_config):
     res = Reservoir(reservoir_config(method_id=3, reservoir_size=6))
     rng = np.random.default_rng(10)
     rows = rng.random((30, INPUT_DIM))
-    res.fit(rows)
+    res.fit_transform(rows)
     a = res.transform(rows, mode="materialized")
     b = res.transform(rows, mode="streaming")
     assert np.max(np.abs(a - b)) <= 1e-12
@@ -407,7 +410,9 @@ def test_sigmoid_is_the_two_branch_formula_bit_for_bit():
     z[:4] = [0.0, -0.0, 800.0, -800.0]
     with np.errstate(over="ignore", invalid="ignore"):
         expected = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
-    assert sigmoid(z).tobytes() == expected.tobytes()
+    out = sigmoid(z)
+    assert out is z  # overwritten in place
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_squash_of_60k_by_100_peaks_under_64_mb_above_its_input(reservoir_config):

@@ -250,8 +250,8 @@ def test_zero_fraction_swarm_is_left_alone():
 def test_optimize_finds_a_quadratic_peak():
     config = box_config(iterations=40, particle_count=15, immigrant_fraction=0.0)
     result = optimize(lambda p: float(-((p[0] - 0.3) ** 2)), config)
-    assert abs(result.best_position[0] - 0.3) < 0.01
-    assert result.best_fitness > -1e-4
+    assert abs(result.gbest_position[0] - 0.3) < 0.01
+    assert result.gbest_fitness > -1e-4
 
 
 def test_trace_has_one_record_per_iteration_plus_init():
@@ -267,7 +267,7 @@ def test_trace_is_monotone_nondecreasing():
     result = optimize(sphere, config)
     fits = [r.fitness for r in result.trace]
     assert all(b >= a for a, b in zip(fits, fits[1:]))
-    assert result.best_fitness == fits[-1]
+    assert result.gbest_fitness == fits[-1]
 
 
 def test_constant_objective_keeps_flat_trace():
@@ -280,15 +280,15 @@ def test_optimize_is_deterministic_for_a_seed():
     config = box_config(iterations=10, rng_seed=42)
     a = optimize(sphere, config)
     b = optimize(sphere, config)
-    assert np.array_equal(a.best_position, b.best_position)
+    assert np.array_equal(a.gbest_position, b.gbest_position)
     assert [r.fitness for r in a.trace] == [r.fitness for r in b.trace]
 
 
 def test_best_position_stays_inside_bounds():
     config = box_config(iterations=25, particle_count=20)
     result = optimize(sphere, config)
-    assert np.all(result.best_position >= -5.0)
-    assert np.all(result.best_position <= 5.0)
+    assert np.all(result.gbest_position >= -5.0)
+    assert np.all(result.gbest_position <= 5.0)
 
 
 def test_evaluation_count_accounts_for_every_particle():
@@ -306,8 +306,8 @@ class _Abort(Exception):
 
 def assert_same_run(resumed, full):
     """Same best, trace and immigrant counts; wall times may differ."""
-    assert resumed.best_fitness == full.best_fitness
-    assert np.array_equal(resumed.best_position, full.best_position)
+    assert resumed.gbest_fitness == full.gbest_fitness
+    assert np.array_equal(resumed.gbest_position, full.gbest_position)
     assert resumed.evaluations == full.evaluations
     assert resumed.immigrant_counts == full.immigrant_counts
     assert len(resumed.trace) == len(full.trace)
@@ -324,7 +324,7 @@ def interrupt_and_resume(config, stop, path):
 
     with pytest.raises(_Abort):
         optimize(sphere, config, callback=abort, checkpoint_path=path)
-    return resume(sphere, path)
+    return resume(sphere, load_checkpoint(path))
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
