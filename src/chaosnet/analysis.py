@@ -215,10 +215,9 @@ class EntropyAccuracyRow:
 def entropy_accuracy_table(
     config: SweepConfig,
     accuracy_fn: Callable[[MapParams], float] | None = None,
-    m_values: Sequence[int] = TABLE_M_VALUES,
-    r_values: Sequence[float] = TABLE_R_VALUES,
 ) -> list[EntropyAccuracyRow]:
-    """Per sweep value: ApEn over the (m, r) grid plus classifier accuracy.
+    """Per sweep value: ApEn over the TABLE_M_VALUES x TABLE_R_VALUES grid,
+    in that order, plus classifier accuracy.
 
     ``accuracy_fn`` maps the swept MapParams to a test accuracy (the train
     and evaluate pipeline supplies one); when omitted the accuracy column
@@ -230,13 +229,13 @@ def entropy_accuracy_table(
         row = EntropyAccuracyRow(float(value))
         try:
             series = weight_series(config.method, params, config.series_length)
-            for m in m_values:
-                for r in r_values:
+            for m in TABLE_M_VALUES:
+                for r in TABLE_R_VALUES:
                     row.apen[(m, r)] = approximate_entropy(series, ApEnConfig(m=m, r=r))
         except MapOverflowError:
             row.overflowed = True
-            for m in m_values:
-                for r in r_values:
+            for m in TABLE_M_VALUES:
+                for r in TABLE_R_VALUES:
                     row.apen[(m, r)] = math.nan
         if accuracy_fn is not None and not row.overflowed:
             row.accuracy = float(accuracy_fn(params))
@@ -252,54 +251,6 @@ def spearman_correlation(a: Sequence[float], b: Sequence[float]) -> float:
     return float(rho)
 
 
-# -- CSV emission ------------------------------------------------------------
-
-
-def write_bifurcation_csv(rows: list[BifurcationRow], path, comment: str | None = None) -> None:
-    """Long format (param, iterate_index, y); an overflowed value emits a
-    single row with the failing iteration index and a NaN y."""
-    with open(path, "w", encoding="ascii") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write("param,iterate_index,y\n")
-        for row in rows:
-            if row.overflowed:
-                fh.write(f"{row.value:.17g},{row.error_iteration},nan\n")
-                continue
-            for idx, y in enumerate(row.iterates):
-                fh.write(f"{row.value:.17g},{idx},{y:.17g}\n")
-
-
-def write_entropy_accuracy_csv(
-    rows: list[EntropyAccuracyRow],
-    path,
-    m_values: Sequence[int] = TABLE_M_VALUES,
-    r_values: Sequence[float] = TABLE_R_VALUES,
-    comment: str | None = None,
-) -> None:
-    header = ["param"]
-    header += [f"apen_m{m}_r{r:g}" for m in m_values for r in r_values]
-    header.append("accuracy")
-    with open(path, "w", encoding="ascii") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [f"{row.value:.17g}"]
-            cells += [f"{row.apen[(m, r)]:.17g}" for m in m_values for r in r_values]
-            cells.append(f"{row.accuracy:.17g}")
-            fh.write(",".join(cells) + "\n")
-
-
-def write_poincare_csv(pairs: np.ndarray, path, comment: str | None = None) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write("x,y\n")
-        for x, y in np.asarray(pairs, dtype=np.float64):
-            fh.write(f"{x:.17g},{y:.17g}\n")
-
-
 __all__ = [
     "ApEnConfig",
     "approximate_entropy",
@@ -311,9 +262,6 @@ __all__ = [
     "EntropyAccuracyRow",
     "entropy_accuracy_table",
     "spearman_correlation",
-    "write_bifurcation_csv",
-    "write_entropy_accuracy_csv",
-    "write_poincare_csv",
     "DEFAULT_M",
     "DEFAULT_R",
     "DEFAULT_SERIES_LENGTH",

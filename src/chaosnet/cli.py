@@ -10,8 +10,9 @@ Configuration is a single YAML tree; any leaf can be overridden from the
 command line with ``--set dotted.path=value``.  :func:`settings` converts
 the whole tree once, before any command runs, so a bad value under any key
 exits 2 before a file is written or data is read.  Every run writes a
-manifest with the fully resolved configuration and seed; emitted CSVs
-carry a comment line with the artifact version and the manifest hash.
+manifest with the fully resolved configuration and seed.  Every table a
+command emits goes through :func:`_write_csv`, whose first line cites the
+artifact version and the manifest hash; the library modules write no tables.
 """
 
 from __future__ import annotations
@@ -145,10 +146,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
     config = copy.deepcopy(DEFAULT_CONFIG)
     if getattr(args, "config", None):
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
             loaded = yaml.safe_load(path.read_text())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
         if loaded is None:
@@ -341,7 +342,10 @@ def settings(config: dict) -> Settings:
 
 
 def _output_dir(s: Settings) -> Path:
-    s.output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        s.output_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"output_dir {s.output_dir} is not a directory") from exc
     return s.output_dir
 
 
@@ -379,8 +383,20 @@ def write_manifest(config: dict, out: Path, command: str) -> tuple[Path, str]:
     return path, digest
 
 
-def _csv_comment(digest: str) -> str:
-    return f"chaosnet {chaosnet.__version__} manifest sha256:{digest[:16]}"
+def _write_stamped(path: Path, digest: str, lines) -> None:
+    """``lines`` under a comment line citing the version and the manifest."""
+    stamp = f"# chaosnet {chaosnet.__version__} manifest sha256:{digest[:16]}"
+    path.write_text("\n".join([stamp, *lines, ""]), encoding="ascii")
+
+
+def _cell(value) -> str:
+    # %.17g round-trips a float, numpy's float64 included
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def _write_csv(path: Path, digest: str, header, rows) -> None:
+    """The one CSV writer: the stamp, the header, then one line per row."""
+    _write_stamped(path, digest, [",".join(header), *(",".join(map(_cell, r)) for r in rows)])
 
 
 def _load_datasets(s: Settings):
@@ -421,7 +437,7 @@ def cmd_optimize(config: dict, s: Settings, resume_path: str | None = None) -> i
     if resume_path:
         try:
             swarm = rpso.load_checkpoint(resume_path)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise IdxFormatError(f"cannot read checkpoint {resume_path}: {exc}") from exc
         # the manifest must describe the run the checkpoint continues
         saved = swarm.config.as_dict()
@@ -442,7 +458,9 @@ def cmd_optimize(config: dict, s: Settings, resume_path: str | None = None) -> i
         swarm = rpso.optimize(objective, s.swarm, checkpoint_path=checkpoint)
 
     trace_path = out / "trace.csv"
-    rpso.write_trace_csv(swarm, trace_path, comment=_csv_comment(digest))
+    columns = [f"best_x{i}" for i in range(swarm.gbest_position.size)]
+    rows = ([rec.iteration, rec.fitness, *rec.position] for rec in swarm.trace)
+    _write_csv(trace_path, digest, ["iteration", "best_fitness", *columns], rows)
     best = rpso.params_from_position(swarm.gbest_position)
     best_path = out / "best_params.yaml"
     best_path.write_text(
@@ -498,11 +516,17 @@ def cmd_train(config: dict, s: Settings) -> int:
 def cmd_analyze(config: dict, s: Settings) -> int:
     out = _output_dir(s)
     manifest_path, digest = write_manifest(config, out, "analyze")
-    comment = _csv_comment(digest)
 
     bif_rows = analysis.bifurcation_sweep(s.sweep)
     bif_path = out / "bifurcation.csv"
-    analysis.write_bifurcation_csv(bif_rows, bif_path, comment=comment)
+    # long format; an overflowed value is one row with the failing iteration
+    bif_lines = []
+    for row in bif_rows:
+        if row.overflowed:
+            bif_lines.append([row.value, row.error_iteration, "nan"])
+        else:
+            bif_lines += ([row.value, i, y] for i, y in enumerate(row.iterates))
+    _write_csv(bif_path, digest, ["param", "iterate_index", "y"], bif_lines)
 
     accuracy_fn = None
     if s.with_accuracy:
@@ -514,11 +538,14 @@ def cmd_analyze(config: dict, s: Settings) -> int:
 
     table = analysis.entropy_accuracy_table(s.sweep, accuracy_fn)
     table_path = out / "entropy_accuracy.csv"
-    analysis.write_entropy_accuracy_csv(table, table_path, comment=comment)
+    apen_keys = [(m, r) for m in analysis.TABLE_M_VALUES for r in analysis.TABLE_R_VALUES]
+    header = ["param", *(f"apen_m{m}_r{r:g}" for m, r in apen_keys), "accuracy"]
+    rows = ([row.value, *(row.apen[key] for key in apen_keys), row.accuracy] for row in table)
+    _write_csv(table_path, digest, header, rows)
 
     pairs = analysis.poincare_pairs(s.poincare_params, s.poincare_count)
     poincare_path = out / "poincare.csv"
-    analysis.write_poincare_csv(pairs, poincare_path, comment=comment)
+    _write_csv(poincare_path, digest, ["x", "y"], pairs)
 
     key = (2, 0.025)
     valid = [
@@ -536,18 +563,15 @@ def cmd_analyze(config: dict, s: Settings) -> int:
         rho = analysis.spearman_correlation(*zip(*valid))
         spearman_line += f"{rho:.6f} over {len(valid)} points"
     summary_path = out / "summary.txt"
-    summary_path.write_text(
-        "\n".join(
-            [
-                f"# {comment}",
-                f"sweep_points: {len(table)}",
-                f"overflowed_points: {sum(1 for r in table if r.overflowed)}",
-                f"bifurcation_rows: {sum(len(r.iterates) for r in bif_rows)}",
-                spearman_line,
-                "",
-            ]
-        ),
-        encoding="ascii",
+    _write_stamped(
+        summary_path,
+        digest,
+        [
+            f"sweep_points: {len(table)}",
+            f"overflowed_points: {sum(1 for r in table if r.overflowed)}",
+            f"bifurcation_rows: {sum(len(r.iterates) for r in bif_rows)}",
+            spearman_line,
+        ],
     )
     print(f"wrote {bif_path}, {table_path}, {poincare_path}, {summary_path}, {manifest_path}")
     print(spearman_line)
@@ -562,13 +586,28 @@ def cmd_report(config: dict, s: Settings) -> int:
     manifest_path, digest = write_manifest(config, out, "report")
     try:
         model = network.load_model(model_path)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise IdxFormatError(f"cannot read model file {model_path}: {exc}") from exc
     lines = []
     for mode in ("streaming", "materialized"):
         report = footprint.footprint(model, mode, s.bytes_per_value)
-        footprint.write_csv(report, out / f"footprint-{mode}.csv", comment=_csv_comment(digest))
-        lines.append(footprint.render_text(report))
+        _write_csv(
+            out / f"footprint-{mode}.csv",
+            digest,
+            ["reservoir_parameter_count", "classifier_weight_count", "streaming_mode",
+             "bytes_per_value", "estimated_bytes"],
+            [[report.reservoir_parameter_count, report.classifier_weight_count,
+              int(report.streaming_mode), report.bytes_per_value, report.estimated_bytes]],
+        )
+        lines += [
+            f"reservoir mode:            {mode}",
+            f"reservoir parameter count: {report.reservoir_parameter_count}",
+            f"classifier weight count:   {report.classifier_weight_count}",
+            f"total stored values:       {report.total_value_count}",
+            f"bytes per value:           {report.bytes_per_value}",
+            f"estimated bytes:           {report.estimated_bytes}",
+            "",
+        ]
     text = "\n".join(lines)
     (out / "footprint.txt").write_text(text, encoding="ascii")
     print(text, end="")
@@ -595,12 +634,12 @@ def cmd_grid(config: dict, s: Settings) -> int:
         rows.append((architecture.describe(), accuracies))
 
     csv_path = out / "grid.csv"
-    with open(csv_path, "w", encoding="ascii") as fh:
-        fh.write(f"# {_csv_comment(digest)}\n")
-        fh.write("architecture,method,accuracy\n")
-        for arch, accuracies in rows:
-            for method, accuracy in zip(s.grid_methods, accuracies):
-                fh.write(f"{arch},{method.id},{accuracy:.17g}\n")
+    cells = [
+        [arch, method.id, accuracy]
+        for arch, accuracies in rows
+        for method, accuracy in zip(s.grid_methods, accuracies)
+    ]
+    _write_csv(csv_path, digest, ["architecture", "method", "accuracy"], cells)
 
     md_path = out / "grid.md"
     with open(md_path, "w", encoding="ascii") as fh:

@@ -62,38 +62,9 @@ def footprint(model, mode: str = "streaming",
     )
 
 
-def render_text(report: FootprintReport) -> str:
-    mode = "streaming" if report.streaming_mode else "materialized"
-    lines = [
-        f"reservoir mode:            {mode}",
-        f"reservoir parameter count: {report.reservoir_parameter_count}",
-        f"classifier weight count:   {report.classifier_weight_count}",
-        f"total stored values:       {report.total_value_count}",
-        f"bytes per value:           {report.bytes_per_value}",
-        f"estimated bytes:           {report.estimated_bytes}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def write_csv(report: FootprintReport, path, comment: str | None = None) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write(
-            "reservoir_parameter_count,classifier_weight_count,"
-            "streaming_mode,bytes_per_value,estimated_bytes\n"
-        )
-        fh.write(
-            f"{report.reservoir_parameter_count},{report.classifier_weight_count},"
-            f"{int(report.streaming_mode)},{report.bytes_per_value},{report.estimated_bytes}\n"
-        )
-
-
 __all__ = [
     "FootprintReport",
     "footprint",
-    "render_text",
-    "write_csv",
     "map_parameter_delta",
     "HENON_PARAMETER_COUNT",
     "LOGISTIC_PARAMETER_COUNT",

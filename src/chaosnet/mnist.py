@@ -88,8 +88,11 @@ class LabeledDataset:
 def _read_raw(path) -> bytes:
     path = os.fspath(path)
     opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rb") as fh:
-        return fh.read()
+    try:
+        with opener(path, "rb") as fh:
+            return fh.read()
+    except (OSError, EOFError) as exc:  # a directory, not gzip, a cut gzip stream
+        raise IdxFormatError(f"cannot read {path}: {exc}") from exc
 
 
 def _parse_images(raw: bytes, path) -> np.ndarray:

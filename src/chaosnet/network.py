@@ -96,7 +96,7 @@ class Classifier:
 
     def __init__(self, config: Architecture, rng: np.random.Generator | int | None = None):
         self.config = config
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+        rng = np.random.default_rng(rng)  # a Generator is returned as it is
         self.weights: list[np.ndarray] = []
         for out, fan in config.layer_shapes:
             # uniform [-0.5, 0.5] scaled by 1/sqrt(fan-in), bias column included
@@ -175,7 +175,7 @@ class Classifier:
         y = np.asarray(labels)
         if x.shape[0] != y.shape[0]:
             raise ValueError("features and labels disagree on sample count")
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+        rng = np.random.default_rng(rng)  # a Generator is returned as it is
         history: list[float] = []
         n = x.shape[0]
         for epoch in range(1, epochs + 1):

@@ -163,34 +163,46 @@ def _evaluate(objective: Callable[[np.ndarray], float], position: np.ndarray) ->
     return value if math.isfinite(value) else FAILED_FITNESS
 
 
+def _score(swarm: Swarm, objective: Callable[[np.ndarray], float]) -> None:
+    """Evaluate every particle where it stands, then refresh the personal and
+    global bests."""
+    n = swarm.config.particle_count
+    fitness = np.array([_evaluate(objective, swarm.positions[i]) for i in range(n)])
+    swarm.evaluations += n
+    improved = fitness > swarm.pbest_fitness
+    swarm.pbest_positions[improved] = swarm.positions[improved]
+    swarm.pbest_fitness[improved] = fitness[improved]
+    best = int(np.argmax(swarm.pbest_fitness))
+    if swarm.pbest_fitness[best] > swarm.gbest_fitness:
+        swarm.gbest_index = best
+        swarm.gbest_fitness = float(swarm.pbest_fitness[best])
+        swarm.gbest_position = swarm.pbest_positions[best].copy()
+
+
 def init_swarm(
     objective: Callable[[np.ndarray], float],
     config: SwarmConfig,
     rng: np.random.Generator | int | None = None,
 ) -> Swarm:
     """Uniform positions, zero velocities, first fitness round."""
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
-    elif not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(config.rng_seed if rng is None else rng)
     n, d = config.particle_count, config.dimensions
     positions = rng.uniform(config.lower, config.upper, size=(n, d))
-    fitness = np.array([_evaluate(objective, positions[i]) for i in range(n)])
-    if not np.isfinite(fitness).any():
-        raise OptimizationError("every particle of the initial round failed to evaluate")
-    best = int(np.argmax(fitness))
+    # every best starts failed, so scoring the first round sets them
     swarm = Swarm(
         config=config,
         rng=rng,
         positions=positions,
         velocities=np.zeros((n, d)),
         pbest_positions=positions.copy(),
-        pbest_fitness=fitness,
-        gbest_position=positions[best].copy(),
-        gbest_fitness=float(fitness[best]),
-        gbest_index=best,
-        evaluations=n,
+        pbest_fitness=np.full(n, FAILED_FITNESS),
+        gbest_position=positions[0].copy(),
+        gbest_fitness=FAILED_FITNESS,
+        gbest_index=0,
     )
+    _score(swarm, objective)
+    if swarm.gbest_fitness == FAILED_FITNESS:
+        raise OptimizationError("every particle of the initial round failed to evaluate")
     swarm.trace.append(swarm.record(0.0))
     return swarm
 
@@ -221,17 +233,7 @@ def pso_step(
     out = (swarm.positions < config.lower) | (swarm.positions > config.upper)
     np.clip(swarm.positions, config.lower, config.upper, out=swarm.positions)
     swarm.velocities[out] = 0.0  # a particle pinned to the wall restarts its motion
-
-    fitness = np.array([_evaluate(objective, swarm.positions[i]) for i in range(n)])
-    swarm.evaluations += n
-    improved = fitness > swarm.pbest_fitness
-    swarm.pbest_positions[improved] = swarm.positions[improved]
-    swarm.pbest_fitness[improved] = fitness[improved]
-    best = int(np.argmax(swarm.pbest_fitness))
-    if swarm.pbest_fitness[best] > swarm.gbest_fitness:
-        swarm.gbest_index = best
-        swarm.gbest_fitness = float(swarm.pbest_fitness[best])
-        swarm.gbest_position = swarm.pbest_positions[best].copy()
+    _score(swarm, objective)
     swarm.iteration += 1
     return swarm
 
@@ -374,18 +376,6 @@ def load_checkpoint(path) -> Swarm:
     )
 
 
-def write_trace_csv(swarm: Swarm, path, comment: str | None = None) -> None:
-    d = swarm.gbest_position.size
-    with open(path, "w", encoding="ascii") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        cols = ",".join(f"best_x{i}" for i in range(d))
-        fh.write(f"iteration,best_fitness,{cols}\n")
-        for rec in swarm.trace:
-            pos = ",".join(f"{v:.17g}" for v in rec.position)
-            fh.write(f"{rec.iteration},{rec.fitness:.17g},{pos}\n")
-
-
 def sphere(position: np.ndarray) -> float:
     """Negated sphere benchmark; the maximum is 0 at the origin."""
     pos = np.asarray(position, dtype=np.float64)
@@ -448,7 +438,6 @@ __all__ = [
     "resume",
     "save_checkpoint",
     "load_checkpoint",
-    "write_trace_csv",
     "sphere",
     "make_accuracy_objective",
     "params_from_position",

@@ -19,9 +19,6 @@ from chaosnet.analysis import (
     poincare_pairs,
     spearman_correlation,
     weight_series,
-    write_bifurcation_csv,
-    write_entropy_accuracy_csv,
-    write_poincare_csv,
 )
 from chaosnet.maps import MapOverflowError, MapParams, iterate_series
 from chaosnet.reservoir import FillMethod, ReservoirConfig, build_matrix
@@ -388,47 +385,3 @@ def test_spearman_correlation_signs():
     x = [1.0, 2.0, 3.0, 4.0, 5.0]
     assert spearman_correlation(x, [2.0, 4.0, 5.0, 8.0, 9.0]) == pytest.approx(1.0)
     assert spearman_correlation(x, [9.0, 8.0, 5.0, 4.0, 2.0]) == pytest.approx(-1.0)
-
-
-# ---------------------------------------------------------------- CSV output
-
-
-def test_bifurcation_csv_layout(tmp_path):
-    config = sweep_config(lo=0.9, hi=3.0, step=2.1, record_count=5)
-    rows = bifurcation_sweep(config)
-    path = tmp_path / "bifurcation.csv"
-    write_bifurcation_csv(rows, path, comment="sweep over a1")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# sweep over a1"
-    assert lines[1] == "param,iterate_index,y"
-    first_fields = [float(ln.split(",")[0]) for ln in lines[2:]]
-    stable = [ln for ln, v in zip(lines[2:], first_fields) if abs(v - 0.9) < 1e-12]
-    assert len(stable) == 5
-    overflow = [ln for ln, v in zip(lines[2:], first_fields) if abs(v - 3.0) < 1e-12]
-    assert len(overflow) == 1
-    assert overflow[0].endswith(",nan")
-
-
-def test_entropy_csv_layout(tmp_path):
-    config = sweep_config(lo=0.9, hi=0.95, step=0.1, series_length=300)
-    rows = entropy_accuracy_table(config)
-    path = tmp_path / "table.csv"
-    write_entropy_accuracy_csv(rows, path)
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    assert header[0] == "param"
-    assert "apen_m2_r0.025" in header
-    assert "accuracy" in header
-    assert len(lines) == 2
-
-
-def test_poincare_csv_layout(tmp_path):
-    pairs = poincare_pairs(STABLE_PARAMS, 8)
-    path = tmp_path / "poincare.csv"
-    write_poincare_csv(pairs, path, comment="phase portrait")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# phase portrait"
-    assert lines[1] == "x,y"
-    assert len(lines) == 10
-    first = [float(v) for v in lines[2].split(",")]
-    assert first == pytest.approx(pairs[0].tolist())

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import chaosnet
-from chaosnet import mnist, rpso
+from chaosnet import analysis, mnist, rpso
 from chaosnet.cli import (
     DEFAULT_CONFIG,
     EXIT_CONFIG,
@@ -27,6 +27,12 @@ from chaosnet.cli import (
 
 def run(*args):
     return main(list(args))
+
+
+def stamp(out, command):
+    """The first line of every table a command writes into ``out``."""
+    digest = hashlib.sha256((out / f"manifest-{command}.yaml").read_bytes()).hexdigest()
+    return f"# chaosnet {chaosnet.__version__} manifest sha256:{digest[:16]}"
 
 
 def common_flags(synthetic_data_dir, out_dir, *extra):
@@ -155,6 +161,38 @@ def test_report_counts_streaming_values(trained_model_path, tmp_path):
     assert "streaming" in text.lower() and "materialized" in text.lower()
 
 
+@pytest.fixture(scope="module")
+def report_p25(synthetic_data_dir, tmp_path_factory):
+    """The report of a P = 25 model: 6 map scalars stream, 26 x 10 = 260
+    head weights."""
+    trained = tmp_path_factory.mktemp("p25")
+    args = train_smoke_args(synthetic_data_dir, trained)
+    args[args.index("architecture.P=5")] = "architecture.P=25"
+    assert run(*args) == EXIT_OK
+    out = trained / "rep"
+    args = ["report", "--model", str(trained / "model.json"), "--output-dir", str(out)]
+    assert run(*args) == EXIT_OK
+    return out
+
+
+def test_report_footprint_csv_layout(report_p25):
+    lines = (report_p25 / "footprint-streaming.csv").read_text().splitlines()
+    assert lines[0] == stamp(report_p25, "report")
+    header = lines[1].split(",")
+    assert "reservoir_parameter_count" in header
+    assert "classifier_weight_count" in header
+    row = lines[2].split(",")
+    assert row[header.index("reservoir_parameter_count")] == "6"
+    assert row[header.index("classifier_weight_count")] == "260"
+
+
+def test_report_footprint_text_mentions_both_counts(report_p25):
+    text = (report_p25 / "footprint.txt").read_text()
+    assert "6" in text
+    assert "260" in text
+    assert "streaming" in text.lower()
+
+
 def test_report_without_model_exits_2(tmp_path):
     assert run("report", "--output-dir", str(tmp_path / "o")) == EXIT_CONFIG
     assert not (tmp_path / "o").exists()
@@ -219,6 +257,17 @@ def test_optimize_is_deterministic(synthetic_data_dir, tmp_path):
     first = (out / "trace.csv").read_bytes()
     assert run(*args) == EXIT_OK
     assert (out / "trace.csv").read_bytes() == first
+
+
+def test_optimize_trace_csv_contains_all_iterations(synthetic_data_dir, tmp_path):
+    out = tmp_path / "opt"
+    args = optimize_smoke_args(synthetic_data_dir, out) + ["--set", "optimize.iterations=6"]
+    assert run(*args) == EXIT_OK
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert lines[0] == stamp(out, "optimize")
+    header = lines[1].split(",")
+    assert header[0] == "iteration"
+    assert len(lines) == 2 + 7
 
 
 def test_optimize_resume_from_checkpoint(synthetic_data_dir, tmp_path, monkeypatch):
@@ -358,6 +407,46 @@ def test_analyze_overflowing_sweep_is_flagged_not_fatal(tmp_path):
     assert "overflowed_points: 1" in summary
 
 
+def test_analyze_bifurcation_csv_layout(tmp_path):
+    out = tmp_path / "ana"
+    sets = ["sweep.lo=0.9", "sweep.hi=3.0", "sweep.step=2.1", "sweep.record_count=5", "method=6"]
+    assert run(*analyze_smoke_args(out), *[a for e in sets for a in ("--set", e)]) == EXIT_OK
+    lines = (out / "bifurcation.csv").read_text().splitlines()
+    assert lines[0] == stamp(out, "analyze")
+    assert lines[1] == "param,iterate_index,y"
+    first_fields = [float(ln.split(",")[0]) for ln in lines[2:]]
+    stable = [ln for ln, v in zip(lines[2:], first_fields) if abs(v - 0.9) < 1e-12]
+    assert len(stable) == 5
+    overflow = [ln for ln, v in zip(lines[2:], first_fields) if abs(v - 3.0) < 1e-12]
+    assert len(overflow) == 1
+    assert overflow[0].endswith(",nan")
+
+
+def test_analyze_entropy_csv_layout(tmp_path):
+    out = tmp_path / "ana"
+    sets = ["sweep.lo=0.9", "sweep.hi=0.95", "sweep.step=0.1"]
+    assert run(*analyze_smoke_args(out), *[a for e in sets for a in ("--set", e)]) == EXIT_OK
+    lines = (out / "entropy_accuracy.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    assert header[0] == "param"
+    assert "apen_m2_r0.025" in header
+    assert "accuracy" in header
+    assert len(lines) == 3
+
+
+def test_analyze_poincare_csv_layout(tmp_path):
+    out = tmp_path / "ana"
+    assert run(*analyze_smoke_args(out), "--set", "analysis.poincare_count=8") == EXIT_OK
+    lines = (out / "poincare.csv").read_text().splitlines()
+    assert lines[0] == stamp(out, "analyze")
+    assert lines[1] == "x,y"
+    assert len(lines) == 10
+    # every value round-trips
+    config = yaml.safe_load((out / "manifest-analyze.yaml").read_text())["config"]
+    pairs = analysis.poincare_pairs(settings(config).poincare_params, 8)
+    assert [[float(v) for v in ln.split(",")] for ln in lines[2:]] == pairs.tolist()
+
+
 def analyze_accuracy_args(synthetic_data_dir, out_dir, *extra):
     # four sweep points, each trained on the optimization split
     return analyze_smoke_args(out_dir) + [
@@ -393,11 +482,10 @@ def test_analyze_scores_a_diverging_point_0_as_the_search_does(synthetic_data_di
 # ---------------------------------------------------------------- grid
 
 
-def test_grid_smoke(synthetic_data_dir, tmp_path):
-    out = tmp_path / "grid"
-    code = run(
+def grid_smoke_args(synthetic_data_dir, out_dir):
+    return [
         "grid",
-        *common_flags(synthetic_data_dir, out),
+        *common_flags(synthetic_data_dir, out_dir),
         "--set",
         "grid.methods=[4]",
         "--set",
@@ -408,8 +496,12 @@ def test_grid_smoke(synthetic_data_dir, tmp_path):
         "params.a1=0.9",
         "--subset",
         "40",
-    )
-    assert code == EXIT_OK
+    ]
+
+
+def test_grid_smoke(synthetic_data_dir, tmp_path):
+    out = tmp_path / "grid"
+    assert run(*grid_smoke_args(synthetic_data_dir, out)) == EXIT_OK
     lines = (out / "grid.csv").read_text().splitlines()
     assert lines[1] == "architecture,method,accuracy"
     assert len(lines) == 3
@@ -420,6 +512,34 @@ def test_grid_smoke(synthetic_data_dir, tmp_path):
     md = (out / "grid.md").read_text().splitlines()
     assert md[0] == "| architecture | method 4 |"
     assert md[2].startswith("| 784:3:10 |")
+
+
+# ---------------------------------------------------------------- every table
+
+
+@pytest.mark.parametrize(
+    "command, names",
+    [
+        ("optimize", ["trace.csv"]),
+        ("analyze", ["bifurcation.csv", "entropy_accuracy.csv", "poincare.csv", "summary.txt"]),
+        ("report", ["footprint-streaming.csv", "footprint-materialized.csv"]),
+        ("grid", ["grid.csv"]),
+    ],
+)
+def test_every_table_cites_its_manifest(synthetic_data_dir, tmp_path, request, command, names):
+    out = tmp_path / command
+    if command == "optimize":
+        args = optimize_smoke_args(synthetic_data_dir, out)
+    elif command == "analyze":
+        args = analyze_smoke_args(out)
+    elif command == "report":
+        model = request.getfixturevalue("trained_model_path")
+        args = ["report", "--model", str(model), "--output-dir", str(out)]
+    else:
+        args = grid_smoke_args(synthetic_data_dir, out)
+    assert run(*args) == EXIT_OK
+    for name in names:
+        assert (out / name).read_text().splitlines()[0] == stamp(out, command), name
 
 
 # ---------------------------------------------------------------- config layers
@@ -515,6 +635,59 @@ def test_path_keys_become_paths():
 def test_missing_config_file_exits_2(tmp_path):
     code = run("analyze", "--config", str(tmp_path / "absent.yaml"))
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        ("config-dir", EXIT_CONFIG),
+        ("config-not-utf8", EXIT_CONFIG),
+        ("resume-dir", EXIT_DATA),
+        ("model-dir", EXIT_DATA),
+        ("idx-file-dir", EXIT_DATA),
+        ("idx-file-not-gzip", EXIT_DATA),
+        ("idx-file-cut-gzip", EXIT_DATA),
+        ("output-dir-file", EXIT_CONFIG),
+        ("output-dir-under-file", EXIT_CONFIG),
+    ],
+)
+def test_an_unreadable_path_exits_2_or_3(synthetic_data_dir, tmp_path, case, expected):
+    """A config or output path exits 2 and a data path 3, never 1 with a traceback."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    out = tmp_path / "o"
+    if case == "config-dir":
+        args = ["analyze", "--config", str(folder), "--output-dir", str(out)]
+    elif case == "config-not-utf8":
+        blocker.write_bytes(b"\xff")
+        args = ["analyze", "--config", str(blocker), "--output-dir", str(out)]
+    elif case == "resume-dir":
+        args = [*optimize_smoke_args(synthetic_data_dir, out), "--resume", str(folder)]
+    elif case == "model-dir":
+        args = ["report", "--model", str(folder), "--output-dir", str(out)]
+    elif case.startswith("idx-file-"):
+        for path in synthetic_data_dir.iterdir():
+            (folder / path.name).write_bytes(path.read_bytes())
+        images = folder / "train-images-idx3-ubyte.gz"
+        if case == "idx-file-dir":
+            # the plain name is looked up before the .gz one
+            (folder / "train-images-idx3-ubyte").mkdir()
+        elif case == "idx-file-not-gzip":
+            images.write_bytes(b"not gzip")
+        else:
+            images.write_bytes(images.read_bytes()[:100])
+        args = train_smoke_args(folder, out)
+    else:
+        out = blocker if case == "output-dir-file" else blocker / "o"
+        args = train_smoke_args(synthetic_data_dir, out)
+    before = blocker.read_bytes()
+    assert run(*args) == expected
+    assert blocker.read_bytes() == before
+    if expected == EXIT_CONFIG:  # refused before anything is written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "folder"]
+        assert list(folder.iterdir()) == []
 
 
 def test_malformed_set_expression_exits_2(tmp_path):

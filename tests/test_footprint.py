@@ -9,8 +9,6 @@ from chaosnet.footprint import (
     FootprintReport,
     footprint,
     map_parameter_delta,
-    render_text,
-    write_csv,
 )
 from chaosnet.network import Architecture, Classifier, NetworkModel
 from chaosnet.reservoir import FillMethod, Reservoir, ReservoirConfig
@@ -77,23 +75,3 @@ def test_footprint_validates_arguments():
         footprint(model, mode="compressed")
     with pytest.raises(ValueError):
         footprint(model, bytes_per_value=0)
-
-
-def test_render_text_mentions_both_counts():
-    text = render_text(footprint(model_with_reservoir_size(25)))
-    assert "6" in text
-    assert "260" in text
-    assert "streaming" in text.lower()
-
-
-def test_write_csv_layout(tmp_path):
-    path = tmp_path / "footprint.csv"
-    write_csv(footprint(model_with_reservoir_size(25)), path, comment="deploy plan")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# deploy plan"
-    header = lines[1].split(",")
-    assert "reservoir_parameter_count" in header
-    assert "classifier_weight_count" in header
-    row = lines[2].split(",")
-    assert row[header.index("reservoir_parameter_count")] == "6"
-    assert row[header.index("classifier_weight_count")] == "260"

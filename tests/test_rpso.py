@@ -29,7 +29,6 @@ from chaosnet.rpso import (
     resume,
     save_checkpoint,
     sphere,
-    write_trace_csv,
 )
 
 from conftest import STABLE_PARAMS, make_band_images
@@ -400,18 +399,6 @@ def test_interrupted_checkpoint_write_keeps_the_previous_one(tmp_path, monkeypat
     assert path.read_bytes() == before
     assert np.array_equal(load_checkpoint(path).positions, positions)
     assert sorted(tmp_path.iterdir()) == [path]
-
-
-def test_trace_csv_contains_all_iterations(tmp_path):
-    config = box_config(iterations=6)
-    result = optimize(sphere, config)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(result, path, comment="run notes")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# run notes"
-    header = lines[1].split(",")
-    assert header[0] == "iteration"
-    assert len(lines) == 2 + 7
 
 
 # ---------------------------------------------------------------- objectives
