@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from chaosnet.maps import MapOverflowError, MapParams, iterate_series, orbit
-from chaosnet.reservoir import FillMethod, ReservoirConfig, build_matrix
+from chaosnet.maps import MAP_PARAM_NAMES, MapOverflowError, MapParams, iterate_series, orbit
+from chaosnet.reservoir import INPUT_DIM, FillMethod, ReservoirConfig, build_matrix
 
 DEFAULT_M = 2
 DEFAULT_R = 0.025
@@ -97,7 +97,8 @@ def approximate_entropy(series: Sequence[float], config: ApEnConfig = ApEnConfig
 
 
 def weight_series(
-    method: FillMethod, params: MapParams, length: int = DEFAULT_SERIES_LENGTH, input_dim: int = 785
+    method: FillMethod, params: MapParams, length: int = DEFAULT_SERIES_LENGTH,
+    input_dim: int = INPUT_DIM,
 ) -> np.ndarray:
     """First ``length`` values of the iterate stream that fills the matrix.
 
@@ -151,7 +152,7 @@ class SweepConfig:
     record_count: int = 100  # y-iterates kept per swept value
 
     def __post_init__(self):
-        if self.parameter not in ("A", "B", "a1", "a2", "a3", "a4"):
+        if self.parameter not in MAP_PARAM_NAMES:
             raise ValueError(f"unknown sweep parameter {self.parameter!r}")
         if not self.lo < self.hi:
             raise ValueError(f"sweep needs lo < hi, got [{self.lo}, {self.hi}]")
@@ -244,11 +245,21 @@ def entropy_accuracy_table(
 
 
 def spearman_correlation(a: Sequence[float], b: Sequence[float]) -> float:
-    """Spearman rank correlation between two equal-length sequences."""
-    from scipy.stats import spearmanr
-
-    rho = spearmanr(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)).statistic
-    return float(rho)
+    """Spearman rank correlation of two equal-length sequences of finite
+    numbers: the Pearson correlation of their ranks, tied values sharing the
+    mean of the ranks they span.  NaN when either sequence is constant, since
+    the correlation is then undefined."""
+    x, y = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if x.ndim != 1 or x.shape != y.shape or not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("expected two equal-length 1-d sequences of finite numbers")
+    ranks = []
+    for values in (x, y):
+        _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+        if counts.size == 1:
+            return math.nan
+        ends = np.cumsum(counts)  # 1-based rank of each distinct value's last copy
+        ranks.append((ends - (counts - 1) / 2.0)[inverse])
+    return float(np.corrcoef(*ranks)[0, 1])
 
 
 __all__ = [

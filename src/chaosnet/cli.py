@@ -25,7 +25,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,45 +51,59 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULT_CONFIG: dict = {
-    "seed": 0,
-    "data_dir": None,  # None -> $CHAOSNET_DATA or ./data
-    "output_dir": "out",
-    "model_path": None,  # None -> <output_dir>/model.json
-    "subset": None,  # int -> truncate datasets for smoke runs
-    "mode": "materialized",  # reservoir evaluation mode
-    "method": 4,
-    "params": {"a1": 1.0, "a2": 1.0, "a3": 1.51, "a4": 0.74, "A": -0.81, "B": 0.51},
-    "architecture": {"P": 25, "H": None},
-    "train": {"max_epochs": 20, "learning_rate": 0.1, "batch_size": 64},
-    "split": {"fraction": 0.2, "stratified": True},
-    "optimize": {
-        "particles": 150,
-        "iterations": 100,
-        "omega": 0.5,
-        "c1": 2.0,
-        "c2": 2.0,
-        "immigrant_fraction": 0.7,
-        "lower": [0.01, 0.1, 0.0, 0.0, 0.0, 0.0],
-        "upper": [1.5, 10.0, 1.5, 1.5, 1.5, 1.5],
-    },
-    "sweep": {
-        "parameter": "a1",
-        "lo": 0.1,
-        "hi": 1.5,
-        "step": 0.1,
-        "series_length": 5000,
-        "transient": 1000,
-        "record_count": 100,
-        "with_accuracy": False,
-    },
-    "analysis": {"poincare_count": 1000, "poincare_transient": 1000},
-    "report": {"bytes_per_value": 8},
-    "grid": {
-        "methods": [1, 2, 3, 4, 5, 6],
-        "architectures": [[25, None], [100, None], [200, None], [100, 60]],
-    },
-}
+def _default_config() -> dict:
+    """The config tree.  A value the library also defaults is read from the
+    library's default objects, so the CLI and the library cannot disagree."""
+    train, split = TrainConfig(), SplitPlan()
+    swarm = rpso.SwarmConfig(rpso.MAP_LOWER_BOUNDS, rpso.MAP_UPPER_BOUNDS)
+    sweep = {f.name: f.default for f in fields(analysis.SweepConfig)}
+    return {
+        "seed": 0,
+        "data_dir": None,  # None -> $CHAOSNET_DATA or ./data
+        "output_dir": "out",
+        "model_path": None,  # None -> <output_dir>/model.json
+        "subset": None,  # int -> truncate datasets for smoke runs
+        "mode": "materialized",  # reservoir evaluation mode
+        "method": 4,
+        "params": {"a1": 1.0, "a2": 1.0, "a3": 1.51, "a4": 0.74, "A": -0.81, "B": 0.51},
+        "architecture": {"P": 25, "H": None},
+        "train": {
+            "max_epochs": train.max_epochs,
+            "learning_rate": train.learning_rate,
+            "batch_size": train.batch_size,
+        },
+        "split": {"fraction": split.optimization_fraction, "stratified": split.stratified},
+        "optimize": {
+            "particles": swarm.particle_count,
+            "iterations": swarm.iterations,
+            "omega": swarm.omega,
+            "c1": swarm.c1,
+            "c2": swarm.c2,
+            "immigrant_fraction": swarm.immigrant_fraction,
+            # leaves stay plain Python values, which yaml.safe_dump can write
+            "lower": swarm.lower.tolist(),
+            "upper": swarm.upper.tolist(),
+        },
+        "sweep": {
+            "parameter": "a1",
+            "lo": 0.1,
+            "hi": 1.5,
+            "step": 0.1,
+            "series_length": sweep["series_length"],
+            "transient": sweep["transient"],
+            "record_count": sweep["record_count"],
+            "with_accuracy": False,
+        },
+        "analysis": {"poincare_count": 1000, "poincare_transient": 1000},
+        "report": {"bytes_per_value": footprint.DEFAULT_BYTES_PER_VALUE},
+        "grid": {
+            "methods": [1, 2, 3, 4, 5, 6],
+            "architectures": [[25, None], [100, None], [200, None], [100, 60]],
+        },
+    }
+
+
+DEFAULT_CONFIG: dict = _default_config()
 
 
 # -- configuration plumbing ----------------------------------------------------
@@ -341,12 +355,18 @@ def settings(config: dict) -> Settings:
     )
 
 
-def _output_dir(s: Settings) -> Path:
+def _directory(path: Path, key: str) -> Path:
+    """``path``, created with its parents if missing; exit 2 if it is a file
+    or lies under one."""
     try:
-        s.output_dir.mkdir(parents=True, exist_ok=True)
+        path.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
-        raise ConfigError(f"output_dir {s.output_dir} is not a directory") from exc
-    return s.output_dir
+        raise ConfigError(f"{key} {path} is not a directory") from exc
+    return path
+
+
+def _output_dir(s: Settings) -> Path:
+    return _directory(s.output_dir, "output_dir")
 
 
 def _blas_threads() -> int | None:
@@ -385,7 +405,9 @@ def write_manifest(config: dict, out: Path, command: str) -> tuple[Path, str]:
 
 def _write_stamped(path: Path, digest: str, lines) -> None:
     """``lines`` under a comment line citing the version and the manifest."""
-    stamp = f"# chaosnet {chaosnet.__version__} manifest sha256:{digest[:16]}"
+    stamp = f"chaosnet {chaosnet.__version__} manifest sha256:{digest[:16]}"
+    # markdown reads "# ..." as a heading, so a markdown file gets an HTML comment
+    stamp = f"<!-- {stamp} -->" if path.suffix == ".md" else f"# {stamp}"
     path.write_text("\n".join([stamp, *lines, ""]), encoding="ascii")
 
 
@@ -463,24 +485,28 @@ def cmd_optimize(config: dict, s: Settings, resume_path: str | None = None) -> i
     _write_csv(trace_path, digest, ["iteration", "best_fitness", *columns], rows)
     best = rpso.params_from_position(swarm.gbest_position)
     best_path = out / "best_params.yaml"
-    best_path.write_text(
-        yaml.safe_dump(
-            {
-                "A": best.A, "B": best.B, "a1": best.a1, "a2": best.a2,
-                "a3": best.a3, "a4": best.a4,
-                "fitness": swarm.gbest_fitness,
-                "evaluations": swarm.evaluations,
-            },
-            sort_keys=True,
-        ),
-        encoding="ascii",
+    best_yaml = yaml.safe_dump(
+        {
+            **{name: getattr(best, name) for name in rpso.MAP_PARAM_NAMES},
+            "fitness": swarm.gbest_fitness,
+            "evaluations": swarm.evaluations,
+        },
+        sort_keys=True,
     )
+    _write_stamped(best_path, digest, best_yaml.splitlines())
     print(f"best fitness {swarm.gbest_fitness:.6f} after {swarm.evaluations} evaluations")
     print(f"wrote {trace_path}, {best_path}, {manifest_path}")
     return EXIT_OK
 
 
 def cmd_train(config: dict, s: Settings) -> int:
+    # the model's place is checked before anything is written or trained; a
+    # missing parent is created, as output_dir is, which is the default parent
+    model_path = s.model_path or s.output_dir / "model.json"
+    if model_path.is_dir():
+        raise ConfigError(f"model_path {model_path} is a directory")
+    if s.model_path is not None:
+        _directory(model_path.parent, "model_path's parent")
     out = _output_dir(s)
     manifest_path, digest = write_manifest(config, out, "train")
     train_ds, test_ds = _load_datasets(s)
@@ -490,11 +516,11 @@ def cmd_train(config: dict, s: Settings) -> int:
     )
     # one projection of the test set gives both the confusion and the accuracy
     predictions = model.predict(test_ds.images, s.mode)
-    confusion = np.zeros((10, 10), dtype=np.int64)
+    n_classes = s.architecture.n_classes
+    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (test_ds.labels.astype(np.int64), predictions), 1)
     accuracy = int(np.trace(confusion)) / len(test_ds)
 
-    model_path = s.model_path or out / "model.json"
     network.save_model(model, model_path)
     metrics = {
         "architecture": s.architecture.describe(),
@@ -608,9 +634,9 @@ def cmd_report(config: dict, s: Settings) -> int:
             f"estimated bytes:           {report.estimated_bytes}",
             "",
         ]
-    text = "\n".join(lines)
-    (out / "footprint.txt").write_text(text, encoding="ascii")
-    print(text, end="")
+    # the stamp goes into the file only; stdout shows the report itself
+    _write_stamped(out / "footprint.txt", digest, lines[:-1])
+    print("\n".join(lines), end="")
     print(f"wrote {out / 'footprint.txt'}, CSVs, {manifest_path}")
     return EXIT_OK
 
@@ -642,11 +668,16 @@ def cmd_grid(config: dict, s: Settings) -> int:
     _write_csv(csv_path, digest, ["architecture", "method", "accuracy"], cells)
 
     md_path = out / "grid.md"
-    with open(md_path, "w", encoding="ascii") as fh:
-        fh.write("| architecture |" + "".join(f" method {m.id} |" for m in s.grid_methods) + "\n")
-        fh.write("|---|" + "---|" * len(s.grid_methods) + "\n")
-        for arch, accuracies in rows:
-            fh.write("| " + " | ".join([arch] + [f"{a * 100:.2f}%" for a in accuracies]) + " |\n")
+    _write_stamped(
+        md_path,
+        digest,
+        [
+            "| architecture |" + "".join(f" method {m.id} |" for m in s.grid_methods),
+            "|---|" + "---|" * len(s.grid_methods),
+            *("| " + " | ".join([arch] + [f"{a * 100:.2f}%" for a in accuracies]) + " |"
+              for arch, accuracies in rows),
+        ],
+    )
     print(f"wrote {csv_path}, {md_path}, {manifest_path}")
     return EXIT_OK
 
@@ -698,7 +729,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, IdxFormatError) as exc:
+    except IdxFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MapOverflowError as exc:

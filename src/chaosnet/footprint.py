@@ -13,8 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from chaosnet.maps import MAP_PARAM_NAMES
+from chaosnet.reservoir import MODES
+
 # a1..a4 plus the two initial conditions (A, B)
-HENON_PARAMETER_COUNT = 6
+HENON_PARAMETER_COUNT = len(MAP_PARAM_NAMES)
 # rate parameter plus initial condition plus iterate
 LOGISTIC_PARAMETER_COUNT = 3
 DEFAULT_BYTES_PER_VALUE = 8
@@ -44,7 +47,7 @@ class FootprintReport:
 def footprint(model, mode: str = "streaming",
               bytes_per_value: int = DEFAULT_BYTES_PER_VALUE) -> FootprintReport:
     """Stored-value counts for ``model`` deployed in ``mode``."""
-    if mode not in ("streaming", "materialized"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if bytes_per_value < 1:
         raise ValueError(f"bytes_per_value must be >= 1, got {bytes_per_value}")

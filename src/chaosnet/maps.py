@@ -28,6 +28,9 @@ CLAMP_REPLACEMENT = 1.0
 # transient length used by the filling methods that discard a warm-up
 TRANSIENT_ITERATIONS = 10_000
 
+# the six scalars of a map configuration, in the swarm's coordinate order
+MAP_PARAM_NAMES = ("A", "B", "a1", "a2", "a3", "a4")
+
 
 class MapOverflowError(ArithmeticError):
     """A map iterate became non-finite with clamping disabled.
@@ -63,7 +66,7 @@ class MapParams:
     preliminary_iterations: int = 0
 
     def __post_init__(self):
-        for name in ("a1", "a2", "a3", "a4", "A", "B"):
+        for name in MAP_PARAM_NAMES:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"map parameter {name} must be finite, got {value!r}")

@@ -19,7 +19,6 @@ import numpy as np
 
 IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
-OPTIMIZATION_FRACTION = 0.2
 N_CLASSES = 10
 
 DATA_DIR_ENV = "CHAOSNET_DATA"
@@ -43,6 +42,10 @@ class IdxTruncatedError(IdxFormatError):
 
 class IdxCountMismatchError(IdxFormatError):
     pass
+
+
+class IdxMissingError(IdxFormatError):
+    """The directory lacks one of the four IDX files."""
 
 
 def _as_uint8(values, what: str) -> np.ndarray:
@@ -148,7 +151,7 @@ def load_idx(images_path, labels_path, provenance: str = "unspecified") -> Label
 
 @dataclass(frozen=True)
 class SplitPlan:
-    optimization_fraction: float = OPTIMIZATION_FRACTION
+    optimization_fraction: float = 0.2
     rng_seed: int = 0
     stratified: bool = True
 
@@ -217,7 +220,7 @@ def load_mnist(directory=None) -> tuple[LabeledDataset, LabeledDataset]:
     paths = find_mnist(directory)
     if paths is None:
         directory = Path(directory) if directory is not None else default_data_dir()
-        raise FileNotFoundError(
+        raise IdxMissingError(
             f"MNIST IDX files not found under {directory} "
             f"(set ${DATA_DIR_ENV} or pass a directory)"
         )
@@ -238,7 +241,7 @@ __all__ = [
     "IdxMagicError",
     "IdxTruncatedError",
     "IdxCountMismatchError",
+    "IdxMissingError",
     "IMAGE_MAGIC",
     "LABEL_MAGIC",
-    "OPTIMIZATION_FRACTION",
 ]

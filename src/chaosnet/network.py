@@ -17,6 +17,7 @@ from chaosnet.maps import MapParams
 import numpy as np
 
 from chaosnet.reservoir import (
+    INPUT_DIM,
     FillMethod,
     NotFittedError,
     Reservoir,
@@ -68,10 +69,9 @@ class Architecture:
         dims = (self.reservoir_size, *self.hidden_sizes, self.n_classes)
         return [(dims[i + 1], dims[i] + 1) for i in range(len(dims) - 1)]
 
-    def describe(self, input_pixels: int = 784) -> str:
-        if self.hidden_size is None:
-            return f"{input_pixels}:{self.reservoir_size}:{self.n_classes}"
-        return f"{input_pixels}:{self.reservoir_size}:{self.hidden_size}:{self.n_classes}"
+    def describe(self) -> str:
+        dims = (INPUT_DIM - 1, self.reservoir_size, *self.hidden_sizes, self.n_classes)
+        return ":".join(map(str, dims))
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -220,20 +220,23 @@ def _stream_preactivation(config: ReservoirConfig, columns: np.ndarray) -> np.nd
     else:
         acc = np.zeros((p_rows, columns.shape[1]), dtype=np.float64)
 
-    if config.method.init_kind == "constant":
-        # a line is one row of W: its weights meet the inputs in its column order
-        for p, cols, weights in _fill_lines(config):
-            acc_p = acc[p]
-            for y, col in zip(weights, columns[cols]):
-                acc_p += y * col
-            acc[p] = acc_p  # a float sum was rebound, a numpy row updated in place
-    else:
-        # a line is one whole column of W, row 0 first: its weights scale one
-        # input into every sum
-        for _, i, weights in _fill_lines(config):
-            col = columns[i]
-            for r, y in enumerate(weights):
-                acc[r] += y * col
+    # Python floats overflow to inf (and inf - inf to nan) silently; the numpy
+    # block must too, so a batch row stays identical to the single input
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.method.init_kind == "constant":
+            # a line is one row of W: its weights meet the inputs in its column order
+            for p, cols, weights in _fill_lines(config):
+                acc_p = acc[p]
+                for y, col in zip(weights, columns[cols]):
+                    acc_p += y * col
+                acc[p] = acc_p  # a float sum was rebound, a numpy row updated in place
+        else:
+            # a line is one whole column of W, row 0 first: its weights scale one
+            # input into every sum
+            for _, i, weights in _fill_lines(config):
+                col = columns[i]
+                for r, y in enumerate(weights):
+                    acc[r] += y * col
     return np.array(acc)[:, None] if single else acc
 
 

@@ -30,18 +30,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from chaosnet.maps import MapOverflowError, MapParams
+from chaosnet.maps import MAP_PARAM_NAMES, MapOverflowError, MapParams
 from chaosnet.network import TrainingDivergedError
 
-DEFAULT_OMEGA = 0.5
-DEFAULT_C1 = 2.0
-DEFAULT_C2 = 2.0
-DEFAULT_PARTICLES = 150
-DEFAULT_ITERATIONS = 100
-DEFAULT_IMMIGRANT_FRACTION = 0.7
-
-# search box for map-parameter tuning, coordinate order (A, B, a1, a2, a3, a4)
-MAP_PARAM_NAMES = ("A", "B", "a1", "a2", "a3", "a4")
+# search box for map-parameter tuning, coordinate order MAP_PARAM_NAMES
 MAP_LOWER_BOUNDS = np.array([0.01, 0.1, 0.0, 0.0, 0.0, 0.0])
 MAP_UPPER_BOUNDS = np.array([1.5, 10.0, 1.5, 1.5, 1.5, 1.5])
 
@@ -57,24 +49,23 @@ def params_from_position(position: Sequence[float]) -> MapParams:
     pos = np.asarray(position, dtype=np.float64)
     if pos.shape != (6,):
         raise ValueError(f"expected a 6-dimensional position, got shape {pos.shape}")
-    a, b, a1, a2, a3, a4 = (float(v) for v in pos)
-    return MapParams(a1=a1, a2=a2, a3=a3, a4=a4, A=a, B=b)
+    return MapParams(**{name: float(v) for name, v in zip(MAP_PARAM_NAMES, pos)})
 
 
 def position_from_params(params: MapParams) -> np.ndarray:
-    return np.array([params.A, params.B, params.a1, params.a2, params.a3, params.a4])
+    return np.array([getattr(params, name) for name in MAP_PARAM_NAMES])
 
 
 @dataclass(frozen=True)
 class SwarmConfig:
     lower: np.ndarray
     upper: np.ndarray
-    particle_count: int = DEFAULT_PARTICLES
-    iterations: int = DEFAULT_ITERATIONS
-    omega: float = DEFAULT_OMEGA
-    c1: float = DEFAULT_C1
-    c2: float = DEFAULT_C2
-    immigrant_fraction: float = DEFAULT_IMMIGRANT_FRACTION
+    particle_count: int = 150
+    iterations: int = 100
+    omega: float = 0.5
+    c1: float = 2.0
+    c2: float = 2.0
+    immigrant_fraction: float = 0.7
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -390,7 +381,6 @@ def make_accuracy_objective(
     validation_images,
     validation_labels,
     train_config=None,
-    input_dim: int = 785,
     mode: str = "materialized",
 ) -> Callable[[np.ndarray], float]:
     """Fitness of a search position for the map-parameter hunt.
@@ -413,7 +403,6 @@ def make_accuracy_objective(
             method=method,
             params=params,
             reservoir_size=architecture.reservoir_size,
-            input_dim=input_dim,
         )
         try:
             model = train(
@@ -446,10 +435,4 @@ __all__ = [
     "MAP_LOWER_BOUNDS",
     "MAP_UPPER_BOUNDS",
     "FAILED_FITNESS",
-    "DEFAULT_OMEGA",
-    "DEFAULT_C1",
-    "DEFAULT_C2",
-    "DEFAULT_PARTICLES",
-    "DEFAULT_ITERATIONS",
-    "DEFAULT_IMMIGRANT_FRACTION",
 ]

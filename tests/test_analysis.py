@@ -385,3 +385,49 @@ def test_spearman_correlation_signs():
     x = [1.0, 2.0, 3.0, 4.0, 5.0]
     assert spearman_correlation(x, [2.0, 4.0, 5.0, 8.0, 9.0]) == pytest.approx(1.0)
     assert spearman_correlation(x, [9.0, 8.0, 5.0, 4.0, 2.0]) == pytest.approx(-1.0)
+
+
+def test_spearman_correlation_averages_tied_ranks():
+    # ranks (1, 2.5, 2.5, 4) against (1, 3, 2, 4): 4.5 / sqrt(4.5 * 5)
+    assert spearman_correlation([1, 2, 2, 3], [1, 3, 2, 4]) == pytest.approx(math.sqrt(0.9))
+    # ranks (3.5, 1.5, 3.5, 1.5) against (1, 2, 3, 4): -2 / sqrt(4 * 5)
+    assert spearman_correlation([3, 1, 3, 1], [1, 2, 3, 4]) == pytest.approx(-1 / math.sqrt(5))
+
+
+def test_spearman_correlation_of_a_constant_sequence_is_nan_without_a_warning():
+    # the suite turns warnings into errors, so a warning would fail here
+    assert math.isnan(spearman_correlation([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
+    assert math.isnan(spearman_correlation([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]))
+    with pytest.raises(ValueError):
+        spearman_correlation([1.0, math.nan, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        spearman_correlation([1.0, 2.0, 3.0], [1.0, 2.0])
+
+
+def naive_ranks(values):
+    """Ranks by definition: 1 + the values below, plus half the other copies."""
+    return [1 + sum(v < x for v in values) + (sum(v == x for v in values) - 1) / 2
+            for x in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3) | st.floats(-1e3, 1e3)),
+        min_size=2,
+        max_size=40,
+    )
+)
+def test_spearman_correlation_matches_the_rank_definition(pairs):
+    a = [float(p[0]) for p in pairs]
+    b = [float(p[1]) for p in pairs]
+    rho = spearman_correlation(a, b)
+    if len(set(a)) == 1 or len(set(b)) == 1:
+        assert math.isnan(rho)
+        return
+    ra, rb = naive_ranks(a), naive_ranks(b)
+    ma, mb = sum(ra) / len(ra), sum(rb) / len(rb)
+    cov = sum((x - ma) * (y - mb) for x, y in zip(ra, rb))
+    var_a = sum((x - ma) ** 2 for x in ra)
+    var_b = sum((y - mb) ** 2 for y in rb)
+    assert rho == pytest.approx(cov / math.sqrt(var_a * var_b), abs=1e-12)

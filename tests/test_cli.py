@@ -2,7 +2,9 @@
 plus the exit-code contract."""
 
 import copy
+import dataclasses
 import hashlib
+import inspect
 import json
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 import yaml
 
 import chaosnet
-from chaosnet import analysis, mnist, rpso
+from chaosnet import analysis, footprint, mnist, network, rpso
 from chaosnet.cli import (
     DEFAULT_CONFIG,
     EXIT_CONFIG,
@@ -23,6 +25,8 @@ from chaosnet.cli import (
     main,
     settings,
 )
+from chaosnet.mnist import SplitPlan
+from chaosnet.network import TrainConfig
 
 
 def run(*args):
@@ -115,6 +119,24 @@ def test_train_missing_data_dir_exits_3(tmp_path):
     empty.mkdir()
     code = run("train", "--data-dir", str(empty), "--output-dir", str(tmp_path / "o"))
     assert code == EXIT_DATA
+
+
+def test_train_creates_a_missing_model_parent(synthetic_data_dir, tmp_path):
+    # as output_dir is created; the run used to train, then exit 3
+    model = tmp_path / "missing" / "x" / "model.json"
+    args = [*train_smoke_args(synthetic_data_dir, tmp_path / "out"), "--model", str(model)]
+    assert run(*args) == EXIT_OK
+    assert json.loads(model.read_text())["architecture"]["reservoir_size"] == 5
+
+
+def test_a_failed_write_is_not_a_data_error(synthetic_data_dir, tmp_path, monkeypatch):
+    # a write that fails after the checks stays a traceback (exit 1), not exit 3
+    def fail(model, path):
+        raise FileNotFoundError(2, "No such file or directory", str(path))
+
+    monkeypatch.setattr(network, "save_model", fail)
+    with pytest.raises(FileNotFoundError):
+        run(*train_smoke_args(synthetic_data_dir, tmp_path / "out"))
 
 
 def test_train_overflowing_params_exit_4(synthetic_data_dir, tmp_path):
@@ -510,8 +532,8 @@ def test_grid_smoke(synthetic_data_dir, tmp_path):
     assert method == "4"
     assert 0.0 <= float(acc) <= 1.0
     md = (out / "grid.md").read_text().splitlines()
-    assert md[0] == "| architecture | method 4 |"
-    assert md[2].startswith("| 784:3:10 |")
+    assert md[1] == "| architecture | method 4 |"
+    assert md[3].startswith("| 784:3:10 |")
 
 
 # ---------------------------------------------------------------- every table
@@ -520,13 +542,15 @@ def test_grid_smoke(synthetic_data_dir, tmp_path):
 @pytest.mark.parametrize(
     "command, names",
     [
-        ("optimize", ["trace.csv"]),
+        ("optimize", ["trace.csv", "best_params.yaml"]),
         ("analyze", ["bifurcation.csv", "entropy_accuracy.csv", "poincare.csv", "summary.txt"]),
-        ("report", ["footprint-streaming.csv", "footprint-materialized.csv"]),
-        ("grid", ["grid.csv"]),
+        ("report", ["footprint-streaming.csv", "footprint-materialized.csv", "footprint.txt"]),
+        ("grid", ["grid.csv", "grid.md"]),
     ],
 )
-def test_every_table_cites_its_manifest(synthetic_data_dir, tmp_path, request, command, names):
+def test_every_table_cites_its_manifest(
+    synthetic_data_dir, tmp_path, request, capsys, command, names
+):
     out = tmp_path / command
     if command == "optimize":
         args = optimize_smoke_args(synthetic_data_dir, out)
@@ -537,17 +561,32 @@ def test_every_table_cites_its_manifest(synthetic_data_dir, tmp_path, request, c
         args = ["report", "--model", str(model), "--output-dir", str(out)]
     else:
         args = grid_smoke_args(synthetic_data_dir, out)
+    capsys.readouterr()
     assert run(*args) == EXIT_OK
+    assert "sha256" not in capsys.readouterr().out  # the stamp is in the files only
     for name in names:
-        assert (out / name).read_text().splitlines()[0] == stamp(out, command), name
+        expected = stamp(out, command)
+        if name.endswith(".md"):  # a comment that markdown does not render
+            expected = f"<!-- {expected[2:]} -->"
+        assert (out / name).read_text().splitlines()[0] == expected, name
 
 
 # ---------------------------------------------------------------- config layers
 
 
 def test_default_swarm_is_the_library_map_search_box():
-    # pins the CLI defaults to the library's swarm defaults
-    swarm = settings(DEFAULT_CONFIG).swarm
+    # pins the CLI defaults to the library's default objects
+    s = settings(DEFAULT_CONFIG)
+    assert s.train == TrainConfig(rng_seed=0)
+    assert s.split == SplitPlan()
+    sweep_defaults = [f for f in dataclasses.fields(analysis.SweepConfig)
+                      if f.default is not dataclasses.MISSING]
+    assert {f.name for f in sweep_defaults} == {"series_length", "transient", "record_count"}
+    for f in sweep_defaults:
+        assert getattr(s.sweep, f.name) == f.default, f.name
+    by_default = inspect.signature(footprint.footprint).parameters["bytes_per_value"].default
+    assert s.bytes_per_value == by_default
+    swarm = s.swarm
     library = rpso.SwarmConfig(rpso.MAP_LOWER_BOUNDS, rpso.MAP_UPPER_BOUNDS)
     assert swarm.as_dict() == library.as_dict()
     assert swarm.particle_count == 150
@@ -644,6 +683,8 @@ def test_missing_config_file_exits_2(tmp_path):
         ("config-not-utf8", EXIT_CONFIG),
         ("resume-dir", EXIT_DATA),
         ("model-dir", EXIT_DATA),
+        ("train-model-dir", EXIT_CONFIG),
+        ("train-model-under-file", EXIT_CONFIG),
         ("idx-file-dir", EXIT_DATA),
         ("idx-file-not-gzip", EXIT_DATA),
         ("idx-file-cut-gzip", EXIT_DATA),
@@ -667,6 +708,9 @@ def test_an_unreadable_path_exits_2_or_3(synthetic_data_dir, tmp_path, case, exp
         args = [*optimize_smoke_args(synthetic_data_dir, out), "--resume", str(folder)]
     elif case == "model-dir":
         args = ["report", "--model", str(folder), "--output-dir", str(out)]
+    elif case.startswith("train-model-"):
+        model = folder if case == "train-model-dir" else blocker / "model.json"
+        args = [*train_smoke_args(synthetic_data_dir, out), "--model", str(model)]
     elif case.startswith("idx-file-"):
         for path in synthetic_data_dir.iterdir():
             (folder / path.name).write_bytes(path.read_bytes())

@@ -12,6 +12,7 @@ from chaosnet.mnist import (
     IdxCountMismatchError,
     IdxFormatError,
     IdxMagicError,
+    IdxMissingError,
     IdxTruncatedError,
     LabeledDataset,
     SplitPlan,
@@ -292,7 +293,9 @@ def test_find_mnist_env_var_default(tmp_path, monkeypatch, synthetic_data_dir):
 
 
 def test_load_mnist_missing_raises_with_path(tmp_path):
-    with pytest.raises(FileNotFoundError) as err:
+    # a data error, not an OSError: the CLI maps it to exit 3, while a
+    # failed write stays a traceback
+    with pytest.raises(IdxMissingError) as err:
         load_mnist(tmp_path)
     assert str(tmp_path) in str(err.value)
 

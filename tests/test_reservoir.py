@@ -498,6 +498,8 @@ def _streamed_or_overflow(compute):
               1.027315999648267, 0.6259903235756148, 0.09117944350567053),
     seed=0,
 )
+# a sine fill whose batch sums overflow to inf before its orbit overflows
+@example(method_id=1, size=23, position=(1.0, 2.0, 0.75, 0.0, 0.8125, 0.6875), seed=0)
 def test_single_input_streams_like_its_batch_row(method_id, size, position, seed):
     """A single input (Python-float sums) streams bit for bit like the same
     row inside a batch (numpy block), and both meet materialized; an
