@@ -158,8 +158,13 @@ class SweepConfig:
             raise ValueError(f"sweep needs lo < hi, got [{self.lo}, {self.hi}]")
         if not self.step > 0:
             raise ValueError(f"sweep step must be > 0, got {self.step}")
-        if self.series_length < 1 or self.record_count < 1 or self.transient < 0:
-            raise ValueError("series_length and record_count must be >= 1, transient >= 0")
+        # ApEn at the table's largest m compares windows of m + 1 values, so
+        # it needs more than m + 1 values
+        shortest = max(TABLE_M_VALUES) + 2
+        if self.series_length < shortest or self.record_count < 1 or self.transient < 0:
+            raise ValueError(
+                f"series_length must be >= {shortest}, record_count >= 1 and transient >= 0"
+            )
 
     @property
     def values(self) -> np.ndarray:

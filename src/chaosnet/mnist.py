@@ -2,14 +2,19 @@
 
 Reads the big-endian IDX image/label pair (magics 2051 and 2049), with
 gzip-compressed variants detected by file extension, into an immutable
-in-memory dataset.  Also derives the seeded optimization subset used for
-parameter-search fitness: 20% of the training base, stratified by digit
-by default, validated against the full base.
+in-memory dataset.  Each file's header is read and checked first; its data
+is then read straight into a read-only uint8 array of the final size, in
+pieces of READ_PIECE_BYTES, so the loader holds the file's bytes once: a
+47 MB image file costs its array plus one 1 MB piece.  Also derives the
+seeded optimization subset used for parameter-search fitness: 20% of the
+training base, stratified by digit by default, validated against the full
+base.
 """
 
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -26,6 +31,7 @@ TRAIN_IMAGES_NAME = "train-images-idx3-ubyte"
 TRAIN_LABELS_NAME = "train-labels-idx1-ubyte"
 TEST_IMAGES_NAME = "t10k-images-idx3-ubyte"
 TEST_LABELS_NAME = "t10k-labels-idx1-ubyte"
+READ_PIECE_BYTES = 1 << 20  # most bytes read or decompressed per call
 
 
 class IdxFormatError(ValueError):
@@ -88,59 +94,80 @@ class LabeledDataset:
         return LabeledDataset(self.images[idx], self.labels[idx], provenance)
 
 
-def _read_raw(path) -> bytes:
-    path = os.fspath(path)
-    opener = gzip.open if path.endswith(".gz") else open
+def _fill(fh, data: np.ndarray) -> int:
+    """Read ``fh`` into the 1-D uint8 ``data`` in pieces of READ_PIECE_BYTES.
+
+    Returns the number of bytes the stream held: ``data.size`` unless it ends
+    early or runs on past it.  Bytes past the array are counted, not kept.
+    """
+    view = memoryview(data)
+    filled = 0
+    while filled < data.size:
+        got = fh.readinto(view[filled : filled + READ_PIECE_BYTES])
+        if not got:
+            return filled
+        filled += got
+    while piece := fh.read(READ_PIECE_BYTES):
+        filled += len(piece)
+    return filled
+
+
+def _read_idx(path, kind: str) -> np.ndarray:
+    """The data of an IDX ``kind`` file ("image" or "label") as a read-only
+    uint8 array shaped by its header.
+
+    The header is read and its magic checked first.  The array is then
+    allocated at its final size and filled a piece at a time, so the file's
+    bytes are held once: a whole-file read of a gzip stream would hold the
+    decompressed bytes beside their array.  A file whose length disagrees
+    with its header is reported with both byte counts.
+    """
+    magic, ndim = (IMAGE_MAGIC, 3) if kind == "image" else (LABEL_MAGIC, 1)
+    header_size = 4 + 4 * ndim
+    name = os.fspath(path)
+    opener = gzip.open if name.endswith(".gz") else open
     try:
-        with opener(path, "rb") as fh:
-            return fh.read()
+        with opener(name, "rb") as fh:
+            header = fh.read(header_size)
+            # magic first: a wrong-kind file should be reported as such, not as short
+            if len(header) >= 4 and struct.unpack(">I", header[:4])[0] != magic:
+                raise IdxMagicError(
+                    f"{path}: expected {kind} magic {magic} at offset 0, "
+                    f"found {struct.unpack('>I', header[:4])[0]}"
+                )
+            if len(header) < header_size:
+                raise IdxTruncatedError(
+                    f"{path}: {kind} header needs {header_size} bytes, file has {len(header)}"
+                )
+            dims = struct.unpack(f">{ndim}I", header[4:])
+            size = math.prod(dims)
+            try:
+                data = np.empty(size, dtype=np.uint8)
+            except (MemoryError, ValueError):  # a header claiming more than memory holds
+                data = np.empty(0, dtype=np.uint8)
+            found = header_size + _fill(fh, data)
     except (OSError, EOFError) as exc:  # a directory, not gzip, a cut gzip stream
-        raise IdxFormatError(f"cannot read {path}: {exc}") from exc
-
-
-def _parse_images(raw: bytes, path) -> np.ndarray:
-    # magic first: a wrong-kind file should be reported as such, not as short
-    if len(raw) >= 4 and struct.unpack(">I", raw[:4])[0] != IMAGE_MAGIC:
-        raise IdxMagicError(
-            f"{path}: expected image magic {IMAGE_MAGIC} at offset 0, "
-            f"found {struct.unpack('>I', raw[:4])[0]}"
-        )
-    if len(raw) < 16:
-        raise IdxTruncatedError(f"{path}: image header needs 16 bytes, file has {len(raw)}")
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
-    expected = 16 + count * rows * cols
-    if len(raw) != expected:
+        raise IdxFormatError(f"cannot read {name}: {exc}") from exc
+    expected = header_size + size
+    if found != expected:
+        what = f"{dims[0]} labels" if ndim == 1 else f"{dims[0]} images of {dims[1]}x{dims[2]}"
         raise IdxTruncatedError(
-            f"{path}: expected {expected} bytes for {count} images of {rows}x{cols}, "
-            f"found {len(raw)} (data ends at offset {len(raw)})"
+            f"{path}: expected {expected} bytes for {what}, "
+            f"found {found} (data ends at offset {found})"
         )
-    if (rows, cols) != (28, 28):
-        raise IdxFormatError(f"{path}: expected 28x28 images, header says {rows}x{cols}")
-    return np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, rows, cols)
-
-
-def _parse_labels(raw: bytes, path) -> np.ndarray:
-    if len(raw) >= 4 and struct.unpack(">I", raw[:4])[0] != LABEL_MAGIC:
-        raise IdxMagicError(
-            f"{path}: expected label magic {LABEL_MAGIC} at offset 0, "
-            f"found {struct.unpack('>I', raw[:4])[0]}"
-        )
-    if len(raw) < 8:
-        raise IdxTruncatedError(f"{path}: label header needs 8 bytes, file has {len(raw)}")
-    magic, count = struct.unpack(">II", raw[:8])
-    expected = 8 + count
-    if len(raw) != expected:
-        raise IdxTruncatedError(
-            f"{path}: expected {expected} bytes for {count} labels, "
-            f"found {len(raw)} (data ends at offset {len(raw)})"
-        )
-    return np.frombuffer(raw, dtype=np.uint8, offset=8)
+    if data.size != size:
+        raise MemoryError(f"{path}: {size} bytes of {kind} data do not fit in memory")
+    data.flags.writeable = False
+    return data.reshape(dims)
 
 
 def load_idx(images_path, labels_path, provenance: str = "unspecified") -> LabeledDataset:
     """Parse an IDX image/label file pair into a dataset."""
-    images = _parse_images(_read_raw(images_path), images_path)
-    labels = _parse_labels(_read_raw(labels_path), labels_path)
+    images = _read_idx(images_path, "image")
+    if images.shape[1:] != (28, 28):
+        rows, cols = images.shape[1:]
+        raise IdxFormatError(f"{images_path}: expected 28x28 images, header says {rows}x{cols}")
+    labels = _read_idx(labels_path, "label")
     if images.shape[0] != labels.shape[0]:
         raise IdxCountMismatchError(
             f"{labels_path}: {labels.shape[0]} labels for {images.shape[0]} images "

@@ -19,7 +19,9 @@ stack: chunks of pixels are scaled into one reused buffer, (rows, 785) for
 the matrix product of materialized mode and (785, rows) for streaming.
 Constant-init methods with a warm-up start their orbit from a cached
 post-warm-up state, so only the first input streamed with given parameters
-runs the 10,000 discarded steps.
+runs the 10,000 discarded steps.  The sigmoid of the transform overwrites
+the pre-activations in place, in blocks of rows, so its temporaries stay a
+few MB whatever the number of rows.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ MODES = ("materialized", "streaming")  # evaluation modes of Reservoir.preactiva
 SINE_INIT_Y0 = 0.51
 PROJECTION_CHUNK_ROWS = 4096  # most image rows scaled and multiplied at once
 STREAM_CHUNK_ROWS = 16384  # most image rows scaled and streamed at once
+SIGMOID_BLOCK_ELEMENTS = 1 << 19  # most values squashed at once: a 4 MB float temporary
 WARM_STATE_CACHE_SIZE = 256  # post-warm-up map states kept, least recently used dropped
 
 
@@ -244,14 +247,25 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     """Overwrite the float64 array ``z`` with its logistic function and return it.
 
     With e = exp(-|z|) the value is 1 / (1 + e) where z >= 0 and e / (1 + e)
-    elsewhere, so no exp overflows.  Besides ``z`` it holds one boolean mask
-    and one float temporary (1 + e).
+    elsewhere, so no exp overflows.  ``z`` is walked along its first axis in
+    blocks of whole rows, whatever its layout, each block holding at most
+    SIGMOID_BLOCK_ELEMENTS values (or one row, if a row holds more).  Besides
+    ``z`` it therefore holds one boolean mask and one float temporary (1 + e)
+    of a block, under 5 MB, not of the whole input.
     """
-    pos = z >= 0
-    np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
-    denom = 1.0 + z
-    np.copyto(z, 1.0, where=pos)  # numerator: 1 where z >= 0, e elsewhere
-    return np.divide(z, denom, out=z)
+    if z.size <= SIGMOID_BLOCK_ELEMENTS:
+        blocks = (z,)
+    else:
+        step = max(1, SIGMOID_BLOCK_ELEMENTS * len(z) // z.size)
+        blocks = (z[start : start + step] for start in range(0, len(z), step))
+    for block in blocks:
+        pos = block >= 0
+        np.exp(np.negative(np.abs(block, out=block), out=block), out=block)
+        denom = 1.0 + block
+        np.copyto(block, 1.0, where=pos)  # numerator: 1 where z >= 0, e elsewhere
+        np.divide(block, denom, out=block)
+        del pos, denom  # freed before the next block's are made
+    return z
 
 
 class Reservoir:

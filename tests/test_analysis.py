@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from chaosnet.analysis import (
+    TABLE_M_VALUES,
+    TABLE_R_VALUES,
     ApEnConfig,
     SweepConfig,
     approximate_entropy,
@@ -296,6 +298,16 @@ def test_sweep_config_validation():
         sweep_config(step=0.0)
     with pytest.raises(ValueError):
         sweep_config(record_count=0)
+
+
+def test_sweep_series_is_long_enough_for_the_tables_largest_m():
+    """ApEn at m needs more than m + 1 values, so the table's largest m sets
+    the shortest series a sweep accepts."""
+    shortest = max(TABLE_M_VALUES) + 2
+    with pytest.raises(ValueError, match=f"series_length must be >= {shortest}"):
+        sweep_config(series_length=shortest - 1)
+    (row,) = entropy_accuracy_table(sweep_config(lo=0.9, hi=0.95, series_length=shortest))
+    assert len(row.apen) == len(TABLE_M_VALUES) * len(TABLE_R_VALUES)
 
 
 def test_bifurcation_sweep_row_shapes():

@@ -816,6 +816,7 @@ def test_bad_swarm_size_exits_2(synthetic_data_dir, tmp_path):
         ("train", "seed=abc"),
         ("optimize", "architecture.P=0"),
         ("analyze", "sweep.step=0"),
+        ("analyze", "sweep.series_length=4"),
         ("analyze", "analysis.poincare_transient=-1"),
         ("report", "report.bytes_per_value=0"),
         # sine methods need B != 0; optimize reads no params, yet the whole

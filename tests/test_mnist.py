@@ -124,6 +124,68 @@ def test_truncated_image_file_raises(tmp_path):
     assert "imgs" in str(err.value)
 
 
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+@pytest.mark.parametrize("kind", ["images", "labels"])
+def test_bytes_past_the_header_count_raise_truncated_with_both_counts(tmp_path, kind, suffix):
+    ds = tiny_dataset(4)
+    images, labels = tmp_path / f"imgs{suffix}", tmp_path / f"labs{suffix}"
+    save_idx(ds, images, labels)
+    payload = serialize_images(ds.images) if kind == "images" else serialize_labels(ds.labels)
+    long = tmp_path / f"long{suffix}"
+    long.write_bytes(gzip.compress(payload + b"tail") if suffix else payload + b"tail")
+    paths = (long, labels) if kind == "images" else (images, long)
+    with pytest.raises(IdxTruncatedError) as err:
+        load_idx(*paths)
+    message = str(err.value)
+    assert str(long) in message
+    assert f"expected {len(payload)} bytes" in message
+    assert f"found {len(payload) + 4}" in message
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(2**32 - 1, 28, 28), (2**32 - 1, 2**32 - 1, 2**32 - 1)],
+    ids=["terabytes", "unaddressable"],
+)
+def test_a_header_claiming_more_than_memory_is_reported_as_truncated(tmp_path, dims):
+    (tmp_path / "imgs").write_bytes(struct.pack(">IIII", 2051, *dims) + bytes(10))
+    (tmp_path / "labs").write_bytes(serialize_labels(np.zeros(2, dtype=np.uint8)))
+    with pytest.raises(IdxTruncatedError, match="found 26 "):
+        load_idx(tmp_path / "imgs", tmp_path / "labs")
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+def test_loaded_images_and_labels_are_read_only(tmp_path, suffix):
+    save_idx(tiny_dataset(3), tmp_path / f"imgs{suffix}", tmp_path / f"labs{suffix}")
+    ds = load_idx(tmp_path / f"imgs{suffix}", tmp_path / f"labs{suffix}")
+    for arr in (ds.images, ds.labels):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+def test_loading_60k_gzipped_images_holds_them_once(tmp_path):
+    """The images are decompressed straight into their array, a bounded piece
+    at a time: no copy of the file's bytes is held beside it."""
+    import tracemalloc
+
+    count = 60_000
+    images = np.zeros((count, 28, 28), dtype=np.uint8)
+    images[:, 14, :] = np.arange(count, dtype=np.uint8)[:, None]
+    labels = (np.arange(count) % 10).astype(np.uint8)
+    save_idx(LabeledDataset(images, labels), tmp_path / "imgs.gz", tmp_path / "labs.gz")
+    del images, labels
+    tracemalloc.start()
+    try:
+        ds = load_idx(tmp_path / "imgs.gz", tmp_path / "labs.gz")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.images[123, 14, 5] == 123 and ds.labels[-1] == 9
+    size = ds.images.nbytes
+    assert peak < size + 4e6, f"peak {peak / 1e6:.1f} MB for {size / 1e6:.1f} MB of images"
+
+
 def test_count_mismatch_raises(tmp_path):
     ds = tiny_dataset(4)
     save_idx(ds, tmp_path / "imgs", tmp_path / "labs")
