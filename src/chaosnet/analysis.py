@@ -97,8 +97,7 @@ def approximate_entropy(series: Sequence[float], config: ApEnConfig = ApEnConfig
 
 
 def weight_series(
-    method: FillMethod, params: MapParams, length: int = DEFAULT_SERIES_LENGTH,
-    input_dim: int = INPUT_DIM,
+    method: FillMethod, params: MapParams, length: int = DEFAULT_SERIES_LENGTH
 ) -> np.ndarray:
     """First ``length`` values of the iterate stream that fills the matrix.
 
@@ -111,27 +110,23 @@ def weight_series(
     effective = method.effective_params(params)
     if method.init_kind == "constant":
         return iterate_series(effective, effective.A, effective.B, length)
-    rows = -(-length // input_dim)  # ceil
-    config = ReservoirConfig(method=method, params=params, reservoir_size=rows, input_dim=input_dim)
+    rows = -(-length // INPUT_DIM)  # ceil
+    config = ReservoirConfig(method=method, params=params, reservoir_size=rows)
     return build_matrix(config).reshape(-1)[:length].copy()
 
 
-def poincare_pairs(
-    params: MapParams, count: int, x0: float | None = None, y0: float | None = None
-) -> np.ndarray:
+def poincare_pairs(params: MapParams, count: int) -> np.ndarray:
     """(x, y) states of ``count`` successive iterates after the warm-up.
 
-    The initial condition defaults to (A, B); ``params.preliminary_iterations``
-    steps are discarded first.  The x of a state is the previous y: the last
-    warm-up y, or ``y0`` when there is no warm-up.  Returned as a (count, 2)
-    array.
+    The orbit starts at (A, B); ``params.preliminary_iterations`` steps are
+    discarded first.  The x of a state is the previous y: the last warm-up
+    y, or B when there is no warm-up.  Returned as a (count, 2) array.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    x = params.A if x0 is None else float(x0)
-    y = params.B if y0 is None else float(y0)
+    x, y = params.A, params.B
     warm = params.preliminary_iterations
-    # y0, then the iterates: the y of step k at index k
+    # B, then the iterates: the y of step k at index k
     ys = itertools.islice(itertools.chain((y,), orbit(params, x, y)), warm, warm + count + 1)
     ys = np.fromiter(ys, np.float64, count + 1)
     return np.column_stack((ys[:-1], ys[1:]))
@@ -156,8 +151,15 @@ class SweepConfig:
             raise ValueError(f"unknown sweep parameter {self.parameter!r}")
         if not self.lo < self.hi:
             raise ValueError(f"sweep needs lo < hi, got [{self.lo}, {self.hi}]")
-        if not self.step > 0:
-            raise ValueError(f"sweep step must be > 0, got {self.step}")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"sweep step must be finite and > 0, got {self.step}")
+        # an infinite range, or a step tiny beside it, asks for more points
+        # than an array holds
+        try:
+            self.values
+        except (OverflowError, ValueError, MemoryError) as exc:
+            raise ValueError(f"sweep grid of step {self.step} over [{self.lo}, {self.hi}] "
+                             f"cannot be built: {exc}") from None
         # ApEn at the table's largest m compares windows of m + 1 values, so
         # it needs more than m + 1 values
         shortest = max(TABLE_M_VALUES) + 2

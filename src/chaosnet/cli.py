@@ -13,6 +13,7 @@ exits 2 before a file is written or data is read.  Every run writes a
 manifest with the fully resolved configuration and seed.  Every table a
 command emits goes through :func:`_write_csv`, whose first line cites the
 artifact version and the manifest hash; the library modules write no tables.
+``model.json`` and ``metrics.json`` carry the whole hash in a field.
 """
 
 from __future__ import annotations
@@ -109,51 +110,43 @@ DEFAULT_CONFIG: dict = _default_config()
 # -- configuration plumbing ----------------------------------------------------
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    merged = copy.deepcopy(base)
+def _merge(config: dict, override: dict, prefix: str = "") -> None:
+    """Merge ``override`` into ``config`` in place, walking both together.
+
+    A key ``config`` lacks, a plain value for a section and a mapping for a
+    value are refused: a typo'd key would otherwise be accepted and silently
+    ignored.  ``config`` starts as a copy of DEFAULT_CONFIG, and every merge
+    keeps its shape, so ``config`` itself is the schema.
+    """
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = copy.deepcopy(value)
-    return merged
-
-
-def _check_mapping_known(loaded: dict, prefix: tuple[str, ...] = ()) -> None:
-    node = DEFAULT_CONFIG
-    for part in prefix:
-        node = node[part]
-    for key, value in loaded.items():
-        if not isinstance(key, str) or key not in node:
-            dotted = ".".join(prefix + (str(key),))
+        dotted = f"{prefix}{key}"
+        if not isinstance(key, str) or key not in config:
             raise ConfigError(f"unknown config key {dotted!r}")
-        if isinstance(node[key], dict):
+        if isinstance(config[key], dict):
             if not isinstance(value, dict):
-                dotted = ".".join(prefix + (key,))
                 raise ConfigError(f"config section {dotted!r} must be a mapping")
-            _check_mapping_known(value, prefix + (key,))
+            _merge(config[key], value, f"{dotted}.")
+        elif isinstance(value, dict):
+            raise ConfigError(f"config key {dotted!r} takes a value, not a mapping")
+        else:
+            config[key] = value
 
 
 def _apply_set(config: dict, expression: str) -> None:
+    """Merge ``--set a.b=v`` into ``config`` as the mapping {a: {b: v}}."""
     if "=" not in expression:
         raise ConfigError(f"--set expects dotted.path=value, got {expression!r}")
     dotted, raw = expression.split("=", 1)
     keys = dotted.strip().split(".")
     if not all(keys):
         raise ConfigError(f"empty key component in {dotted!r}")
-    # walk the defaults beside the config: a typo'd key would otherwise be
-    # accepted and silently ignored
-    node, schema = config, DEFAULT_CONFIG
-    for depth, key in enumerate(keys):
-        if not isinstance(schema, dict) or key not in schema:
-            raise ConfigError(f"unknown config key {'.'.join(keys[: depth + 1])!r}")
-        parent, node, schema = node, node[key], schema[key]
-    if isinstance(schema, dict):
-        raise ConfigError(f"--set targets a leaf value, but {dotted.strip()!r} is a section")
     try:
-        parent[keys[-1]] = yaml.safe_load(raw)
+        value = yaml.safe_load(raw)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse value {raw!r}: {exc}") from exc
+    for key in reversed(keys):
+        value = {key: value}
+    _merge(config, value)
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -170,8 +163,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
             loaded = {}
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a mapping at top level")
-        _check_mapping_known(loaded)
-        config = _deep_merge(config, loaded)
+        _merge(config, loaded)
     for flag, key in (
         ("data_dir", "data_dir"),
         ("output_dir", "output_dir"),
@@ -271,10 +263,10 @@ def _typed(node: dict, schema: dict, prefix: str = "") -> dict:
     return typed
 
 
-def _at_least_1(value) -> int:
+def _at_least(value, low: int = 1) -> int:
     number = _int(value)
-    if number < 1:
-        raise ValueError(f"must be >= 1, got {number}")
+    if number < low:
+        raise ValueError(f"must be >= {low}, got {number}")
     return number
 
 
@@ -301,7 +293,8 @@ def settings(config: dict) -> Settings:
     is the one place a config value is converted.
     """
     c = _typed(config, DEFAULT_CONFIG)
-    seed = c["seed"]
+    # every seeded config takes this one, and a generator refuses a negative seed
+    seed = _convert("seed", _at_least, c["seed"], 0)
     method = _convert("method", FillMethod.from_id, c["method"])
     params = _convert("params", MapParams, **c["params"])
     architecture = _convert("architecture", _architecture, **c["architecture"])
@@ -319,7 +312,7 @@ def settings(config: dict) -> Settings:
         data_dir=_convert("data_dir", _optional_path, c["data_dir"]),
         output_dir=Path(c["output_dir"]),
         model_path=_convert("model_path", _optional_path, c["model_path"]),
-        subset=None if c["subset"] is None else _convert("subset", _at_least_1, c["subset"]),
+        subset=None if c["subset"] is None else _convert("subset", _at_least, c["subset"]),
         mode=_convert("mode", _one_of, c["mode"], MODES),
         method=method,
         architecture=architecture,
@@ -339,10 +332,10 @@ def settings(config: dict) -> Settings:
             preliminary_iterations=c["analysis"]["poincare_transient"],
         ),
         poincare_count=_convert(
-            "analysis.poincare_count", _at_least_1, c["analysis"]["poincare_count"]
+            "analysis.poincare_count", _at_least, c["analysis"]["poincare_count"]
         ),
         bytes_per_value=_convert(
-            "report.bytes_per_value", _at_least_1, c["report"]["bytes_per_value"]
+            "report.bytes_per_value", _at_least, c["report"]["bytes_per_value"]
         ),
         grid_methods=grid_methods,
         grid=_convert(
@@ -521,6 +514,7 @@ def cmd_train(config: dict, s: Settings) -> int:
     np.add.at(confusion, (test_ds.labels.astype(np.int64), predictions), 1)
     accuracy = int(np.trace(confusion)) / len(test_ds)
 
+    model.training_meta["manifest_sha256"] = digest  # the model cites its run, as metrics do
     network.save_model(model, model_path)
     metrics = {
         "architecture": s.architecture.describe(),

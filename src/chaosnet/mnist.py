@@ -54,18 +54,6 @@ class IdxMissingError(IdxFormatError):
     """The directory lacks one of the four IDX files."""
 
 
-def _as_uint8(values, what: str) -> np.ndarray:
-    """Integer input only; floats would round silently, so they are refused."""
-    arr = np.asarray(values)
-    if arr.dtype == np.uint8:
-        return arr
-    if arr.dtype.kind in "ui":
-        if arr.size and (arr.min() < 0 or arr.max() > 255):
-            raise ValueError(f"{what} values fall outside the uint8 range")
-        return arr.astype(np.uint8)
-    raise ValueError(f"{what} must be uint8 (or other integers), got dtype {arr.dtype}")
-
-
 @dataclass(frozen=True)
 class LabeledDataset:
     images: np.ndarray  # (N, 28, 28) uint8
@@ -73,10 +61,12 @@ class LabeledDataset:
     provenance: str = "unspecified"
 
     def __post_init__(self):
-        images = _as_uint8(self.images, "images")
-        labels = _as_uint8(self.labels, "labels")
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "labels", labels)
+        images, labels = self.images, self.labels
+        # the IDX reader hands over uint8; anything else is refused, not cast
+        for what, values in (("images", images), ("labels", labels)):
+            if getattr(values, "dtype", None) != np.uint8:
+                kind = getattr(values, "dtype", type(values).__name__)
+                raise ValueError(f"{what} must be a uint8 array, got {kind}")
         if images.ndim != 3 or images.shape[1:] != (28, 28):
             raise ValueError(f"images must be (N, 28, 28), got {images.shape}")
         if labels.shape != (images.shape[0],):

@@ -126,9 +126,8 @@ class Classifier:
         return out
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        arr = np.asarray(features, dtype=np.float64)
-        labels = self.logits(arr).argmax(axis=1)
-        return int(labels[0]) if arr.ndim == 1 else labels
+        """The argmax label of every row, as an array (one label for one row)."""
+        return self.logits(features).argmax(axis=1)
 
     def loss(self, features: np.ndarray, labels: np.ndarray) -> float:
         return cross_entropy(self.logits(features), labels)
@@ -294,7 +293,7 @@ class NetworkModel:
         return self.reservoir.transform(inputs, mode)
 
     def predict(self, inputs: np.ndarray, mode: str = "materialized"):
-        return self.classifier.predict(np.atleast_2d(self.features(inputs, mode)))
+        return self.classifier.predict(self.features(inputs, mode))
 
 
 def train(

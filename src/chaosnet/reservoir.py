@@ -17,6 +17,8 @@ row.
 A stack of (N, 28, 28) images is projected without a float copy of the
 stack: chunks of pixels are scaled into one reused buffer, (rows, 785) for
 the matrix product of materialized mode and (785, rows) for streaming.
+:func:`_write_inputs` writes the 785-slot layout for both buffers and for
+:func:`flatten_image` and :func:`flatten_images`.
 Constant-init methods with a warm-up start their orbit from a cached
 post-warm-up state, so only the first input streamed with given parameters
 runs the 10,000 discarded steps.  The sigmoid of the transform overwrites
@@ -109,30 +111,34 @@ class ReservoirConfig:
         return self.method.effective_params(self.params)
 
 
-def flatten_image(pixels) -> np.ndarray:
-    """Flatten a 28x28 intensity grid to the 785-slot input vector.
+def _write_inputs(pixels: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the 785-slot input layout of ``pixels`` into ``out`` and return it.
 
-    Slot 0 carries the constant bias 1; slots 1-784 are the pixels in
-    row-major order scaled to [0, 1].
+    ``pixels`` is (n, 784) intensities in row-major order; ``out`` is an
+    (n, 785) float64 array, or the transposed view of a (785, n) one.  Slot 0
+    carries the constant bias 1; slots 1-784 are the pixels scaled to [0, 1]
+    by a division by 255.  This is the one place the layout is written.
     """
-    grid = np.asarray(pixels, dtype=np.float64)
+    out[:, 0] = 1.0
+    np.divide(pixels, 255.0, out=out[:, 1:], dtype=np.float64)
+    return out
+
+
+def flatten_image(pixels) -> np.ndarray:
+    """Flatten a 28x28 intensity grid to the 785-slot input vector."""
+    grid = np.asarray(pixels)
     if grid.shape != (28, 28):
         raise ValueError(f"expected a 28x28 grid, got shape {grid.shape}")
-    out = np.empty(INPUT_DIM, dtype=np.float64)
-    out[0] = 1.0
-    out[1:] = grid.reshape(-1) / 255.0
-    return out
+    return _write_inputs(grid.reshape(1, INPUT_DIM - 1), np.empty((1, INPUT_DIM)))[0]
 
 
 def flatten_images(images) -> np.ndarray:
     """Vectorized :func:`flatten_image` for a stack of N grids."""
-    stack = np.asarray(images, dtype=np.float64)
+    stack = np.asarray(images)
     if stack.ndim != 3 or stack.shape[1:] != (28, 28):
         raise ValueError(f"expected an (N, 28, 28) stack, got shape {stack.shape}")
-    out = np.empty((stack.shape[0], INPUT_DIM), dtype=np.float64)
-    out[:, 0] = 1.0
-    out[:, 1:] = stack.reshape(stack.shape[0], -1) / 255.0
-    return out
+    rows = stack.reshape(len(stack), INPUT_DIM - 1)
+    return _write_inputs(rows, np.empty((len(stack), INPUT_DIM)))
 
 
 @functools.lru_cache(maxsize=WARM_STATE_CACHE_SIZE)
@@ -251,14 +257,12 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     blocks of whole rows, whatever its layout, each block holding at most
     SIGMOID_BLOCK_ELEMENTS values (or one row, if a row holds more).  Besides
     ``z`` it therefore holds one boolean mask and one float temporary (1 + e)
-    of a block, under 5 MB, not of the whole input.
+    of a block, under 5 MB, not of the whole input.  ``z`` has one or two
+    axes.
     """
-    if z.size <= SIGMOID_BLOCK_ELEMENTS:
-        blocks = (z,)
-    else:
-        step = max(1, SIGMOID_BLOCK_ELEMENTS * len(z) // z.size)
-        blocks = (z[start : start + step] for start in range(0, len(z), step))
-    for block in blocks:
+    step = max(1, SIGMOID_BLOCK_ELEMENTS * len(z) // max(z.size, 1))
+    for start in range(0, len(z), step):
+        block = z[start : start + step]
         pos = block >= 0
         np.exp(np.negative(np.abs(block, out=block), out=block), out=block)
         denom = 1.0 + block
@@ -301,9 +305,9 @@ class Reservoir:
         uint8 pixel grids for the 785-slot input.  The float form of an image
         stack is never held.  Materialized images are projected in
         ceil(N / PROJECTION_CHUNK_ROWS) near-equal chunks through one reused
-        float64 (rows, 785) buffer whose column 0 is the bias 1.  Streamed
-        images go in ceil(N / STREAM_CHUNK_ROWS) near-equal chunks through one
-        reused (785, rows) buffer whose row 0 is the bias 1; each image is
+        float64 (rows, 785) buffer.  Streamed images go in
+        ceil(N / STREAM_CHUNK_ROWS) near-equal chunks through one reused
+        (785, rows) buffer, whose transpose takes the layout; each image is
         streamed alone, so the result equals streaming
         ``flatten_images(inputs)`` bit for bit.
 
@@ -354,10 +358,8 @@ class Reservoir:
         z = np.empty((n, self.config.reservoir_size), dtype=np.float64)
         chunks = _chunks(n, PROJECTION_CHUNK_ROWS)
         buf = np.empty((max(b - a for a, b in chunks), INPUT_DIM), dtype=np.float64)
-        buf[:, 0] = 1.0
         for start, stop in chunks:
-            rows = buf[: stop - start]
-            np.divide(pixels[start:stop], 255.0, out=rows[:, 1:], dtype=np.float64)
+            rows = _write_inputs(pixels[start:stop], buf[: stop - start])
             np.matmul(rows, w_t, out=z[start:stop])
         return z
 
@@ -367,10 +369,9 @@ class Reservoir:
         z_t = np.empty((self.config.reservoir_size, n), dtype=np.float64)
         chunks = _chunks(n, STREAM_CHUNK_ROWS)
         buf = np.empty((INPUT_DIM, max(b - a for a, b in chunks)), dtype=np.float64)
-        buf[0] = 1.0
         for start, stop in chunks:
             columns = buf[:, : stop - start]
-            np.divide(pixels[start:stop].T, 255.0, out=columns[1:], dtype=np.float64)
+            _write_inputs(pixels[start:stop], columns.T)
             z_t[:, start:stop] = _stream_preactivation(self.config, columns)
         return z_t.T
 

@@ -75,6 +75,8 @@ class SwarmConfig:
         object.__setattr__(self, "upper", upper)
         if lower.ndim != 1 or lower.shape != upper.shape:
             raise ValueError("lower and upper bounds must be 1-d arrays of equal length")
+        if not np.isfinite([*lower, *upper, self.omega, self.c1, self.c2]).all():
+            raise ValueError("the bounds, omega, c1 and c2 must be finite")
         if not np.all(lower < upper):
             raise ValueError("every lower bound must be strictly below its upper bound")
         if self.particle_count < 1:
@@ -170,13 +172,10 @@ def _score(swarm: Swarm, objective: Callable[[np.ndarray], float]) -> None:
         swarm.gbest_position = swarm.pbest_positions[best].copy()
 
 
-def init_swarm(
-    objective: Callable[[np.ndarray], float],
-    config: SwarmConfig,
-    rng: np.random.Generator | int | None = None,
-) -> Swarm:
-    """Uniform positions, zero velocities, first fitness round."""
-    rng = np.random.default_rng(config.rng_seed if rng is None else rng)
+def init_swarm(objective: Callable[[np.ndarray], float], config: SwarmConfig) -> Swarm:
+    """Uniform positions drawn from ``config.rng_seed``, zero velocities,
+    first fitness round."""
+    rng = np.random.default_rng(config.rng_seed)
     n, d = config.particle_count, config.dimensions
     positions = rng.uniform(config.lower, config.upper, size=(n, d))
     # every best starts failed, so scoring the first round sets them
@@ -254,7 +253,6 @@ def immigrate(swarm: Swarm) -> np.ndarray:
 def optimize(
     objective: Callable[[np.ndarray], float],
     config: SwarmConfig,
-    rng: np.random.Generator | int | None = None,
     callback: Callable[[int, Swarm], None] | None = None,
     checkpoint_path=None,
 ) -> Swarm:
@@ -266,7 +264,7 @@ def optimize(
     snapshotted after every iteration and an interrupted run can continue
     via :func:`resume`.
     """
-    return resume(objective, init_swarm(objective, config, rng), callback, checkpoint_path)
+    return resume(objective, init_swarm(objective, config), callback, checkpoint_path)
 
 
 def resume(

@@ -196,15 +196,13 @@ def test_weight_series_constant_fill_is_the_orbit():
 
 def test_weight_series_sine_fill_matches_matrix_rows():
     method = FillMethod.from_id(2)
-    dim = 30
-    series = weight_series(method, STABLE_PARAMS, length=70, input_dim=dim)
+    series = weight_series(method, STABLE_PARAMS, length=1000)
     config = ReservoirConfig(
         method=method,
         params=STABLE_PARAMS,
-        reservoir_size=3,  # ceil(70 / 30)
-        input_dim=dim,
+        reservoir_size=2,  # ceil(1000 / 785)
     )
-    expected = build_matrix(config).reshape(-1)[:70]
+    expected = build_matrix(config).reshape(-1)[:1000]
     assert np.array_equal(series, expected)
 
 

@@ -546,13 +546,16 @@ def test_grid_smoke(synthetic_data_dir, tmp_path):
         ("analyze", ["bifurcation.csv", "entropy_accuracy.csv", "poincare.csv", "summary.txt"]),
         ("report", ["footprint-streaming.csv", "footprint-materialized.csv", "footprint.txt"]),
         ("grid", ["grid.csv", "grid.md"]),
+        ("train", ["model.json", "metrics.json"]),
     ],
 )
 def test_every_table_cites_its_manifest(
     synthetic_data_dir, tmp_path, request, capsys, command, names
 ):
     out = tmp_path / command
-    if command == "optimize":
+    if command == "train":
+        args = train_smoke_args(synthetic_data_dir, out)
+    elif command == "optimize":
         args = optimize_smoke_args(synthetic_data_dir, out)
     elif command == "analyze":
         args = analyze_smoke_args(out)
@@ -566,6 +569,12 @@ def test_every_table_cites_its_manifest(
     assert "sha256" not in capsys.readouterr().out  # the stamp is in the files only
     for name in names:
         expected = stamp(out, command)
+        if name.endswith(".json"):  # the whole hash, in a field
+            payload = json.loads((out / name).read_text())
+            cited = payload.get("training_meta", payload)["manifest_sha256"]
+            manifest = (out / f"manifest-{command}.yaml").read_bytes()
+            assert cited == hashlib.sha256(manifest).hexdigest(), name
+            continue
         if name.endswith(".md"):  # a comment that markdown does not render
             expected = f"<!-- {expected[2:]} -->"
         assert (out / name).read_text().splitlines()[0] == expected, name
@@ -819,6 +828,17 @@ def test_bad_swarm_size_exits_2(synthetic_data_dir, tmp_path):
         ("analyze", "sweep.series_length=4"),
         ("analyze", "analysis.poincare_transient=-1"),
         ("report", "report.bytes_per_value=0"),
+        # each wrote its manifest, then exited 1 with a traceback
+        ("optimize", "optimize.omega=.inf"),
+        ("optimize", "optimize.c1=.nan"),
+        ("optimize", "optimize.c2=-.inf"),
+        ("optimize", "optimize.upper=[1.5, 10.0, 1.5, 1.5, 1.5, .inf]"),
+        ("optimize", "optimize.lower=[-.inf, 0.1, 0.0, 0.0, 0.0, 0.0]"),
+        ("analyze", "sweep.hi=.inf"),
+        ("analyze", "sweep.step=1e-300"),
+        ("train", "seed=-1"),
+        # exited 3, as if the data could not be split
+        ("optimize", "seed=-1"),
         # sine methods need B != 0; optimize reads no params, yet the whole
         # tree is checked for every command
         pytest.param("analyze", ["method=1", "params.B=0"], id="analyze-method=1-params.B=0"),
@@ -880,6 +900,7 @@ def test_unknown_sweep_parameter_exits_2(tmp_path):
         ("train", "data_dir=5"),
         ("train", "model_path=[m.json]"),
         ("report", "model_path=5"),
+        ("train", "seed.x=1"),  # a mapping where a value belongs
     ],
 )
 def test_value_of_another_type_exits_2_before_reading_data(
@@ -893,3 +914,21 @@ def test_value_of_another_type_exits_2_before_reading_data(
     assert code == EXIT_CONFIG
     assert reads == []
     assert not out.exists() and list(tmp_path.iterdir()) == []  # no manifest anywhere
+
+
+def test_config_file_mapping_for_a_value_exits_2_before_reading_data(
+    synthetic_data_dir, tmp_path, monkeypatch
+):
+    folder = tmp_path / "cfg"
+    folder.mkdir()
+    cfg = folder / "run.yaml"
+    cfg.write_text("seed: {x: 1}\n")
+    out = tmp_path / "o"
+    monkeypatch.chdir(tmp_path)
+    reads = []
+    monkeypatch.setattr(mnist, "load_mnist", lambda *args: reads.append(args))
+    code = run("train", *common_flags(synthetic_data_dir, out), "--config", str(cfg))
+    assert code == EXIT_CONFIG
+    assert reads == []
+    assert not out.exists() and list(tmp_path.iterdir()) == [folder]
+    assert list(folder.iterdir()) == [cfg]

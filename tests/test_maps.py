@@ -23,16 +23,17 @@ class TestHenonStep:
     ``poincare_pairs`` (the whole (x, y) state)."""
 
     def test_hand_derived_step(self):
-        params = MapParams(**FIXED)
-        ((x1, y1),) = poincare_pairs(params, 1, x0=-0.81, y0=0.51)
+        params = MapParams(**FIXED)  # (A, B) = (-0.81, 0.51)
+        ((x1, y1),) = poincare_pairs(params, 1)
         assert x1 == 0.51
         assert abs(y1 - (-0.010019)) < 1e-12
 
     def test_degenerates_to_swap_when_coefficients_vanish(self):
-        params = MapParams(a1=0, a2=0, a3=0, a4=0, A=0, B=0)
-        assert poincare_pairs(params, 1, x0=0.3, y0=0.7).tolist() == [[0.7, 0.3]]
+        params = MapParams(a1=0, a2=0, a3=0, a4=0, A=0.3, B=0.7)
+        assert poincare_pairs(params, 1).tolist() == [[0.7, 0.3]]
         # applying it twice returns the original state
-        assert poincare_pairs(params, 2, x0=-1.25, y0=4.0)[1].tolist() == [-1.25, 4.0]
+        params = params.replace(A=-1.25, B=4.0)
+        assert poincare_pairs(params, 2)[1].tolist() == [-1.25, 4.0]
 
     def test_clamp_replaces_large_y_with_one(self):
         # raw y' = 12 via x=12, all coefficients zero except a4=0
@@ -52,8 +53,8 @@ class TestHenonStep:
         assert exc.value.iteration == 1
 
     def test_x_is_never_clamped(self):
-        params = MapParams(a1=0, a2=0, a3=0, a4=0, A=0, B=0, clamp_enabled=True)
-        ((x1, _),) = poincare_pairs(params, 1, x0=0.0, y0=25.0)
+        params = MapParams(a1=0, a2=0, a3=0, a4=0, A=0, B=25.0, clamp_enabled=True)
+        ((x1, _),) = poincare_pairs(params, 1)
         assert x1 == 25.0
 
 

@@ -216,6 +216,12 @@ def test_dataset_validates_shapes_and_types():
             np.zeros(2, dtype=np.uint8),
             provenance="bad",
         )
+    with pytest.raises(ValueError):  # refused, not cast
+        LabeledDataset(
+            np.zeros((2, 28, 28), dtype=np.uint8),
+            np.zeros(2, dtype=np.int64),
+            provenance="bad",
+        )
     with pytest.raises(ValueError):
         LabeledDataset(
             np.zeros((2, 28, 28), dtype=np.uint8),

@@ -93,6 +93,7 @@ def test_hand_computed_forward_pass():
     expected = [math.exp(v) / denom for v in z]
     assert np.allclose(np.exp(log_softmax(clf.logits(features)))[0], expected, atol=1e-12)
     assert clf.predict(features)[0] == 1
+    assert clf.predict(features[0]).tolist() == [1]  # one row, one label, still an array
     assert clf.loss(features, np.array([1])) == pytest.approx(
         -math.log(expected[1]), abs=1e-12
     )

@@ -203,7 +203,7 @@ def immigrant_test_swarm(n=10, seed=3):
         immigrant_fraction=0.7,
         rng_seed=seed,
     )
-    return init_swarm(sphere, config, rng=seed)
+    return init_swarm(sphere, config)
 
 
 def test_immigrate_replaces_the_configured_count():
