@@ -174,7 +174,7 @@ class SweepConfig:
         return self.lo + self.step * np.arange(n)
 
     def params_at(self, value: float) -> MapParams:
-        return self.fixed.replace(**{self.parameter: float(value)})
+        return self.fixed.replace(**{self.parameter: value})
 
 
 @dataclass

@@ -24,6 +24,7 @@ import ctypes
 import glob
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -35,7 +36,7 @@ import yaml
 import chaosnet
 from chaosnet import analysis, footprint, mnist, network, rpso
 from chaosnet.maps import MapOverflowError, MapParams
-from chaosnet.mnist import IdxFormatError, SplitPlan, split_indices
+from chaosnet.mnist import N_CLASSES, IdxFormatError, SplitPlan, split_indices
 from chaosnet.network import Architecture, TrainConfig, TrainingDivergedError
 from chaosnet.reservoir import MODES, FillMethod, ReservoirConfig
 from chaosnet.rpso import OptimizationError
@@ -417,8 +418,8 @@ def _write_csv(path: Path, digest: str, header, rows) -> None:
 def _load_datasets(s: Settings):
     train, test = mnist.load_mnist(s.data_dir)
     if s.subset is not None:
-        train = train.subset(np.arange(min(s.subset, len(train))), train.provenance)
-        test = test.subset(np.arange(min(s.subset, len(test))), test.provenance)
+        train = train.subset(np.arange(min(s.subset, len(train))))
+        test = test.subset(np.arange(min(s.subset, len(test))))
     return train, test
 
 
@@ -430,7 +431,7 @@ def _search_objective(s: Settings, score_on_test: bool):
         idx = split_indices(train_ds.labels, s.split)
     except ValueError as exc:
         raise IdxFormatError(f"cannot build the optimization split: {exc}") from exc
-    subset_ds = train_ds.subset(idx, "optimization12k")
+    subset_ds = train_ds.subset(idx)
     scored = test_ds if score_on_test else train_ds
     return rpso.make_accuracy_objective(
         s.method,
@@ -509,8 +510,7 @@ def cmd_train(config: dict, s: Settings) -> int:
     )
     # one projection of the test set gives both the confusion and the accuracy
     predictions = model.predict(test_ds.images, s.mode)
-    n_classes = s.architecture.n_classes
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+    confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     np.add.at(confusion, (test_ds.labels.astype(np.int64), predictions), 1)
     accuracy = int(np.trace(confusion)) / len(test_ds)
 
@@ -574,13 +574,12 @@ def cmd_analyze(config: dict, s: Settings) -> int:
         if not row.overflowed and np.isfinite(row.apen[key]) and np.isfinite(row.accuracy)
     ]
     spearman_line = "spearman_apen_m2_r0.025_vs_accuracy: "
-    if len(valid) < 3:
+    rho = analysis.spearman_correlation(*zip(*valid)) if len(valid) >= 3 else None
+    if rho is None:
         spearman_line += "not computed (needs accuracy column)"
-    elif any(len(set(column)) == 1 for column in zip(*valid)):
-        # the rank correlation of a constant column is undefined
+    elif math.isnan(rho):  # the rank correlation of a constant column is undefined
         spearman_line += "not computed (constant column)"
     else:
-        rho = analysis.spearman_correlation(*zip(*valid))
         spearman_line += f"{rho:.6f} over {len(valid)} points"
     summary_path = out / "summary.txt"
     _write_stamped(

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from chaosnet.maps import MAP_PARAM_NAMES
-from chaosnet.reservoir import MODES
+from chaosnet.reservoir import INPUT_DIM, MODES
 
 # a1..a4 plus the two initial conditions (A, B)
 HENON_PARAMETER_COUNT = len(MAP_PARAM_NAMES)
@@ -51,11 +51,10 @@ def footprint(model, mode: str = "streaming",
         raise ValueError(f"unknown mode {mode!r}")
     if bytes_per_value < 1:
         raise ValueError(f"bytes_per_value must be >= 1, got {bytes_per_value}")
-    config = model.reservoir.config
     if mode == "streaming":
         reservoir_count = HENON_PARAMETER_COUNT
     else:
-        reservoir_count = config.reservoir_size * config.input_dim
+        reservoir_count = model.reservoir.config.reservoir_size * INPUT_DIM
     classifier_count = int(sum(w.size for w in model.classifier.weights))
     return FootprintReport(
         reservoir_parameter_count=reservoir_count,

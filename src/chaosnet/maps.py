@@ -53,7 +53,9 @@ class MapParams:
     the initial conditions (directly for constant-init filling, through the
     sine formula for sine-init filling).  ``preliminary_iterations`` steps
     are discarded before any value is recorded; the shipped filling methods
-    use either 0 or ``TRANSIENT_ITERATIONS``.
+    use either 0 or ``TRANSIENT_ITERATIONS``.  The six scalars are stored as
+    Python floats: numpy scalars would slow every orbit step and turn an
+    overflow into a warning.
     """
 
     a1: float
@@ -68,8 +70,9 @@ class MapParams:
     def __post_init__(self):
         for name in MAP_PARAM_NAMES:
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not math.isfinite(value):  # a non-number raises TypeError here
                 raise ValueError(f"map parameter {name} must be finite, got {value!r}")
+            object.__setattr__(self, name, float(value))  # the dataclass is frozen
         if self.preliminary_iterations < 0:
             raise ValueError(
                 f"preliminary_iterations must be >= 0, got {self.preliminary_iterations}"

@@ -58,7 +58,6 @@ class IdxMissingError(IdxFormatError):
 class LabeledDataset:
     images: np.ndarray  # (N, 28, 28) uint8
     labels: np.ndarray  # (N,) uint8
-    provenance: str = "unspecified"
 
     def __post_init__(self):
         images, labels = self.images, self.labels
@@ -79,9 +78,10 @@ class LabeledDataset:
     def __len__(self) -> int:
         return self.images.shape[0]
 
-    def subset(self, indices, provenance: str) -> "LabeledDataset":
+    def subset(self, indices, provenance=None) -> "LabeledDataset":
+        # provenance is ignored: perfbench/roadmap_table.py still passes one
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(self.images[idx], self.labels[idx], provenance)
+        return LabeledDataset(self.images[idx], self.labels[idx])
 
 
 def _fill(fh, data: np.ndarray) -> int:
@@ -151,7 +151,7 @@ def _read_idx(path, kind: str) -> np.ndarray:
     return data.reshape(dims)
 
 
-def load_idx(images_path, labels_path, provenance: str = "unspecified") -> LabeledDataset:
+def load_idx(images_path, labels_path) -> LabeledDataset:
     """Parse an IDX image/label file pair into a dataset."""
     images = _read_idx(images_path, "image")
     if images.shape[1:] != (28, 28):
@@ -163,7 +163,7 @@ def load_idx(images_path, labels_path, provenance: str = "unspecified") -> Label
             f"{labels_path}: {labels.shape[0]} labels for {images.shape[0]} images "
             f"in {images_path}"
         )
-    return LabeledDataset(images, labels, provenance)
+    return LabeledDataset(images, labels)
 
 
 @dataclass(frozen=True)
@@ -241,8 +241,8 @@ def load_mnist(directory=None) -> tuple[LabeledDataset, LabeledDataset]:
             f"MNIST IDX files not found under {directory} "
             f"(set ${DATA_DIR_ENV} or pass a directory)"
         )
-    train = load_idx(paths["train_images"], paths["train_labels"], "train60k")
-    test = load_idx(paths["test_images"], paths["test_labels"], "test10k")
+    train = load_idx(paths["train_images"], paths["train_labels"])
+    test = load_idx(paths["test_images"], paths["test_labels"])
     return train, test
 
 

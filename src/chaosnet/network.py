@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from chaosnet.maps import MapParams
-
 import numpy as np
 
+from chaosnet.maps import MapParams
+from chaosnet.mnist import N_CLASSES
 from chaosnet.reservoir import (
     INPUT_DIM,
     FillMethod,
@@ -41,23 +41,20 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class Architecture:
-    """input:P:10 or input:P:H:10 shape of the trainable part.
+    """784:P:10 or 784:P:H:10 shape of the trainable part.
 
     The P reservoir features feed an optional sigmoid hidden layer of
-    ``hidden_size`` units and a softmax output over ``n_classes``.
+    ``hidden_size`` units and a softmax output over the N_CLASSES digits.
     """
 
     reservoir_size: int
     hidden_size: int | None = None
-    n_classes: int = 10
 
     def __post_init__(self):
         if self.reservoir_size < 1:
             raise ValueError(f"reservoir_size must be >= 1, got {self.reservoir_size}")
         if self.hidden_size is not None and self.hidden_size < 1:
             raise ValueError(f"hidden_size must be >= 1 when present, got {self.hidden_size}")
-        if self.n_classes < 2:
-            raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
 
     @property
     def hidden_sizes(self) -> tuple[int, ...]:
@@ -66,11 +63,11 @@ class Architecture:
     @property
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(out, in + 1) for every trainable weight matrix."""
-        dims = (self.reservoir_size, *self.hidden_sizes, self.n_classes)
+        dims = (self.reservoir_size, *self.hidden_sizes, N_CLASSES)
         return [(dims[i + 1], dims[i] + 1) for i in range(len(dims) - 1)]
 
     def describe(self) -> str:
-        dims = (INPUT_DIM - 1, self.reservoir_size, *self.hidden_sizes, self.n_classes)
+        dims = (INPUT_DIM - 1, self.reservoir_size, *self.hidden_sizes, N_CLASSES)
         return ":".join(map(str, dims))
 
 
@@ -192,32 +189,6 @@ class Classifier:
             history.append(mean_loss)
         return history
 
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "input_size": self.config.reservoir_size,
-            "hidden_sizes": list(self.config.hidden_sizes),
-            "output_size": self.config.n_classes,
-            "weights": [w.tolist() for w in self.weights],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Classifier":
-        hidden = payload["hidden_sizes"]  # more than one fails the shape check below
-        config = Architecture(
-            reservoir_size=int(payload["input_size"]),
-            hidden_size=int(hidden[0]) if hidden else None,
-            n_classes=int(payload["output_size"]),
-        )
-        model = cls(config, rng=0)
-        weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
-        shapes = [w.shape for w in weights]
-        if shapes != [tuple(s) for s in config.layer_shapes]:
-            raise ValueError(f"weight shapes {shapes} do not match config {config.layer_shapes}")
-        model.weights = weights
-        return model
-
 
 def numeric_gradients(
     model: Classifier, features: np.ndarray, labels: np.ndarray, epsilon: float = 1e-5
@@ -275,16 +246,19 @@ class TrainConfig:
 class NetworkModel:
     """Trained artifact: reservoir config + normalization stats + head weights."""
 
-    def __init__(self, architecture: Architecture, reservoir: Reservoir,
-                 classifier: Classifier, training_meta: dict | None = None):
+    def __init__(self, reservoir: Reservoir, classifier: Classifier,
+                 training_meta: dict | None = None):
         if not isinstance(reservoir, Reservoir):
             raise TypeError("reservoir must be a Reservoir instance")
-        if classifier.config != architecture:
-            raise ValueError("classifier does not match the architecture")
-        self.architecture = architecture
+        if classifier.config.reservoir_size != reservoir.config.reservoir_size:
+            raise ValueError("classifier and reservoir disagree on P")
         self.reservoir = reservoir
         self.classifier = classifier
         self.training_meta = dict(training_meta or {})
+
+    @property
+    def architecture(self) -> Architecture:
+        return self.classifier.config
 
     def features(self, inputs: np.ndarray, mode: str = "materialized") -> np.ndarray:
         """Reservoir outputs for one 785-vector, (N, 785) rows or (N, 28, 28)
@@ -340,7 +314,7 @@ def train(
         "batch_size": train_config.batch_size,
         "rng_seed": train_config.rng_seed,
     }
-    return NetworkModel(architecture, reservoir, classifier, meta)
+    return NetworkModel(reservoir, classifier, meta)
 
 
 def evaluate(model: NetworkModel, images: np.ndarray, labels: np.ndarray,
@@ -356,18 +330,18 @@ def evaluate(model: NetworkModel, images: np.ndarray, labels: np.ndarray,
 
 def save_model(model: NetworkModel, path) -> None:
     """Decimal-text serialization; floats round-trip value-exact."""
-    reservoir = model.reservoir
+    reservoir, arch = model.reservoir, model.architecture
     params = reservoir.config.params
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "architecture": {
-            "reservoir_size": model.architecture.reservoir_size,
-            "hidden_size": model.architecture.hidden_size,
-            "n_classes": model.architecture.n_classes,
+            "reservoir_size": arch.reservoir_size,
+            "hidden_size": arch.hidden_size,
+            "n_classes": N_CLASSES,
         },
         "reservoir": {
             "method_id": reservoir.config.method.id,
-            "input_dim": reservoir.config.input_dim,
+            "input_dim": INPUT_DIM,
             "params": {
                 "a1": params.a1, "a2": params.a2, "a3": params.a3, "a4": params.a4,
                 "A": params.A, "B": params.B,
@@ -375,7 +349,12 @@ def save_model(model: NetworkModel, path) -> None:
             "z_min": None if reservoir.z_min is None else reservoir.z_min.tolist(),
             "z_max": None if reservoir.z_max is None else reservoir.z_max.tolist(),
         },
-        "classifier": model.classifier.to_dict(),
+        "classifier": {
+            "input_size": arch.reservoir_size,
+            "hidden_sizes": list(arch.hidden_sizes),
+            "output_size": N_CLASSES,
+            "weights": [w.tolist() for w in model.classifier.weights],
+        },
         "training_meta": model.training_meta,
     }
     with open(path, "w", encoding="ascii") as fh:
@@ -383,28 +362,42 @@ def save_model(model: NetworkModel, path) -> None:
 
 
 def load_model(path) -> NetworkModel:
+    """The model :func:`save_model` wrote, shaped by its architecture section
+    alone; a ValueError refuses any other size in the file that disagrees
+    with that shape, with INPUT_DIM or with N_CLASSES."""
     with open(path, "r", encoding="ascii") as fh:
         payload = json.load(fh)
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    arch = Architecture(
-        reservoir_size=payload["architecture"]["reservoir_size"],
-        hidden_size=payload["architecture"]["hidden_size"],
-        n_classes=payload["architecture"]["n_classes"],
-    )
-    res_payload = payload["reservoir"]
+    section, res_payload = payload["architecture"], payload["reservoir"]
+    head = payload["classifier"]
+    arch = Architecture(section["reservoir_size"], section["hidden_size"])
+    stated = {
+        "reservoir.input_dim": (res_payload["input_dim"], INPUT_DIM),
+        "architecture.n_classes": (section["n_classes"], N_CLASSES),
+        "classifier.input_size": (head["input_size"], arch.reservoir_size),
+        "classifier.hidden_sizes": (head["hidden_sizes"], list(arch.hidden_sizes)),
+        "classifier.output_size": (head["output_size"], N_CLASSES),
+    }
+    for key, (found, expected) in stated.items():
+        if found != expected:
+            raise ValueError(f"{key} is {found!r}, not {expected!r} as in {arch.describe()}")
+    weights = [np.asarray(w, dtype=np.float64) for w in head["weights"]]
+    shapes = [w.shape for w in weights]
+    if shapes != arch.layer_shapes:
+        raise ValueError(f"weight shapes {shapes} do not match {arch.layer_shapes}")
     config = ReservoirConfig(
         method=FillMethod.from_id(res_payload["method_id"]),
         params=MapParams(**res_payload["params"]),
         reservoir_size=arch.reservoir_size,
-        input_dim=res_payload["input_dim"],
     )
     reservoir = Reservoir(config)
     if res_payload["z_min"] is not None:
         reservoir.set_statistics(res_payload["z_min"], res_payload["z_max"])
-    classifier = Classifier.from_dict(payload["classifier"])
-    return NetworkModel(arch, reservoir, classifier, payload.get("training_meta"))
+    classifier = Classifier(arch, rng=0)
+    classifier.weights = weights
+    return NetworkModel(reservoir, classifier, payload.get("training_meta"))
 
 
 __all__ = [

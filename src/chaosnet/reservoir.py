@@ -33,7 +33,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import ClassVar, Iterator, Literal
 
 import numpy as np
 
@@ -96,13 +96,12 @@ class ReservoirConfig:
     method: FillMethod
     params: MapParams
     reservoir_size: int
-    input_dim: int = INPUT_DIM
+    # not a field, every reservoir reads INPUT_DIM; perfbench's tracer reads it here
+    input_dim: ClassVar[int] = INPUT_DIM
 
     def __post_init__(self):
         if self.reservoir_size < 1:
             raise ValueError(f"reservoir_size must be >= 1, got {self.reservoir_size}")
-        if self.input_dim < 2:
-            raise ValueError(f"input_dim must be >= 2, got {self.input_dim}")
         if self.method.init_kind == "sine" and self.params.B == 0:
             raise ValueError("sine initial conditions require B != 0")
 
@@ -179,28 +178,28 @@ def _fill_lines(
     slice running forwards on even rows and backwards on odd ones; one orbit
     from (A, B) runs through all rows, resumed after the warm-up from
     :func:`_warm_state`.  A sine-init line is one column of W,
-    ``(slice(None), i, weights)``: the column's initial x, then the first
-    P - 1 iterates of its own orbit from (x, 0.51).  Each line's weights
-    must be consumed before the next line is requested.
+    ``(slice(None), i, weights)``: the column's initial x, computed when its
+    line is requested, then the first P - 1 iterates of its own orbit from
+    (x, 0.51).  Each line's weights must be consumed before the next line is
+    requested.
     """
     params = config.effective_params
-    p_rows, dim = config.reservoir_size, config.input_dim
+    p_rows = config.reservoir_size
     if config.method.init_kind == "constant":
         x, y = _warm_state(params)
         ys = orbit(params, x, y, first_step=params.preliminary_iterations + 1)
         for p in range(p_rows):
-            yield p, slice(None, None, -1 if p % 2 else 1), itertools.islice(ys, dim)
+            yield p, slice(None, None, -1 if p % 2 else 1), itertools.islice(ys, INPUT_DIM)
     else:
-        cols = np.arange(dim, dtype=np.float64)
-        inits = (params.A * np.sin(cols / (dim - 1) * (math.pi / params.B))).tolist()
-        for i, x in enumerate(inits):
+        for i in range(INPUT_DIM):
+            x = params.A * math.sin(i / (INPUT_DIM - 1) * (math.pi / params.B))
             iterates = itertools.islice(orbit(params, x, SINE_INIT_Y0), p_rows - 1)
             yield slice(None), i, itertools.chain((x,), iterates)
 
 
 def build_matrix(config: ReservoirConfig) -> np.ndarray:
-    """Materialize the P x input_dim weight matrix for ``config``."""
-    w = np.empty((config.reservoir_size, config.input_dim), dtype=np.float64)
+    """Materialize the P x 785 weight matrix for ``config``."""
+    w = np.empty((config.reservoir_size, INPUT_DIM), dtype=np.float64)
     for rows, cols, weights in _fill_lines(config):
         w[rows, cols] = np.fromiter(weights, np.float64)
     return w
@@ -209,11 +208,10 @@ def build_matrix(config: ReservoirConfig) -> np.ndarray:
 def _stream_preactivation(config: ReservoirConfig, columns: np.ndarray) -> np.ndarray:
     """W @ Y without materializing W, reading the weights from :func:`_fill_lines`.
 
-    ``columns`` has shape (input_dim, M); the return value is (P, M).  Only
-    the map scalars, one scratch state and the P sums are held, so per input
-    the storage is the six parameters plus P sums, independent of the input
-    dimension for constant methods; sine methods also hold the input_dim
-    initial x values, as many as one input has.  A single input (M == 1) is
+    ``columns`` has shape (785, M); the return value is (P, M).  Only the map
+    scalars, one scratch state and the P sums are held, so per input the
+    storage is the six parameters plus P sums, independent of the input
+    dimension for all six methods.  A single input (M == 1) is
     read through a memoryview of its column, without a copy, and its P sums
     are a list of Python floats; a batch keeps a (P, M) numpy block.  Both
     containers run the same loop body, and Python floats and float64
@@ -301,8 +299,8 @@ class Reservoir:
     ) -> np.ndarray:
         """W @ Y for one input vector, a batch of rows or a stack of images.
 
-        ``inputs`` is one input_dim vector, (N, input_dim) rows, or (N, 28, 28)
-        uint8 pixel grids for the 785-slot input.  The float form of an image
+        ``inputs`` is one 785-slot vector, (N, 785) rows, or (N, 28, 28)
+        uint8 pixel grids.  The float form of an image
         stack is never held.  Materialized images are projected in
         ceil(N / PROJECTION_CHUNK_ROWS) near-equal chunks through one reused
         float64 (rows, 785) buffer.  Streamed images go in
@@ -333,10 +331,8 @@ class Reservoir:
         single = arr.ndim == 1
         if single:
             arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != self.config.input_dim:
-            raise ValueError(
-                f"expected inputs of length {self.config.input_dim}, got shape {np.shape(inputs)}"
-            )
+        if arr.ndim != 2 or arr.shape[1] != INPUT_DIM:
+            raise ValueError(f"expected inputs of length {INPUT_DIM}, got shape {np.shape(inputs)}")
         if mode == "materialized":
             z = arr @ self.matrix().T
         else:
@@ -345,11 +341,8 @@ class Reservoir:
 
     def _pixels(self, images: np.ndarray) -> np.ndarray:
         """The (N, 784) pixel view of an (N, 28, 28) stack."""
-        if images.shape[1:] != (28, 28) or self.config.input_dim != INPUT_DIM:
-            raise ValueError(
-                f"expected (N, 28, 28) images for input_dim {INPUT_DIM}, got shape "
-                f"{images.shape} for input_dim {self.config.input_dim}"
-            )
+        if images.shape[1:] != (28, 28):
+            raise ValueError(f"expected (N, 28, 28) images, got shape {images.shape}")
         return images.reshape(images.shape[0], INPUT_DIM - 1)
 
     def _project_images(self, pixels: np.ndarray) -> np.ndarray:

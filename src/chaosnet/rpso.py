@@ -49,7 +49,7 @@ def params_from_position(position: Sequence[float]) -> MapParams:
     pos = np.asarray(position, dtype=np.float64)
     if pos.shape != (6,):
         raise ValueError(f"expected a 6-dimensional position, got shape {pos.shape}")
-    return MapParams(**{name: float(v) for name, v in zip(MAP_PARAM_NAMES, pos)})
+    return MapParams(**dict(zip(MAP_PARAM_NAMES, pos)))
 
 
 def position_from_params(params: MapParams) -> np.ndarray:

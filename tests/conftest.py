@@ -56,12 +56,11 @@ def stable_params():
 
 @pytest.fixture
 def reservoir_config():
-    def _make(method_id=6, reservoir_size=25, params=STABLE_PARAMS, input_dim=785):
+    def _make(method_id=6, reservoir_size=25, params=STABLE_PARAMS):
         return ReservoirConfig(
             method=FillMethod.from_id(method_id),
             params=params,
             reservoir_size=reservoir_size,
-            input_dim=input_dim,
         )
 
     return _make
@@ -81,12 +80,12 @@ def synthetic_data_dir(tmp_path_factory):
     train_images, train_labels = make_band_images(200, seed=11)
     test_images, test_labels = make_band_images(50, seed=12)
     save_idx(
-        LabeledDataset(train_images, train_labels, provenance="synthetic-train"),
+        LabeledDataset(train_images, train_labels),
         root / "train-images-idx3-ubyte.gz",
         root / "train-labels-idx1-ubyte.gz",
     )
     save_idx(
-        LabeledDataset(test_images, test_labels, provenance="synthetic-test"),
+        LabeledDataset(test_images, test_labels),
         root / "t10k-images-idx3-ubyte.gz",
         root / "t10k-labels-idx1-ubyte.gz",
     )

@@ -227,6 +227,27 @@ def test_report_corrupt_model_exits_3(tmp_path):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("reservoir", "input_dim", 784),
+        ("architecture", "n_classes", 9),
+        ("classifier", "output_size", 11),
+    ],
+)
+def test_report_of_a_model_of_another_shape_exits_3(
+    trained_model_path, tmp_path, section, key, value
+):
+    """Every model has 785 inputs and 10 classes; a file claiming another
+    width or class count is a bad file, not a smaller model."""
+    payload = json.loads(trained_model_path.read_text())
+    payload[section][key] = value
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(payload))
+    code = run("report", "--model", str(bad), "--output-dir", str(tmp_path / "o"))
+    assert code == EXIT_DATA
+
+
 # ---------------------------------------------------------------- optimize
 
 

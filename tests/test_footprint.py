@@ -11,7 +11,7 @@ from chaosnet.footprint import (
     map_parameter_delta,
 )
 from chaosnet.network import Architecture, Classifier, NetworkModel
-from chaosnet.reservoir import FillMethod, Reservoir, ReservoirConfig
+from chaosnet.reservoir import INPUT_DIM, FillMethod, Reservoir, ReservoirConfig
 
 from conftest import STABLE_PARAMS
 
@@ -20,8 +20,7 @@ def model_with_reservoir_size(p):
     config = ReservoirConfig(
         method=FillMethod.from_id(6), params=STABLE_PARAMS, reservoir_size=p
     )
-    arch = Architecture(p)
-    return NetworkModel(arch, Reservoir(config), Classifier(arch, rng=0))
+    return NetworkModel(Reservoir(config), Classifier(Architecture(p), rng=0))
 
 
 def test_streaming_footprint_counts_only_map_parameters():
@@ -48,10 +47,7 @@ def test_hidden_layer_expands_classifier_count():
     config = ReservoirConfig(
         method=FillMethod.from_id(6), params=STABLE_PARAMS, reservoir_size=100
     )
-    arch = Architecture(100, 60)
-    model = NetworkModel(
-        arch, Reservoir(config), Classifier(arch, rng=0)
-    )
+    model = NetworkModel(Reservoir(config), Classifier(Architecture(100, 60), rng=0))
     report = footprint(model)
     assert report.classifier_weight_count == 60 * 101 + 10 * 61
 
@@ -67,6 +63,28 @@ def test_estimated_bytes_scales_with_value_width():
     assert report.estimated_bytes == 266 * 8
     halved = footprint(model_with_reservoir_size(25), bytes_per_value=4)
     assert halved.estimated_bytes == 266 * 4
+
+
+@pytest.mark.parametrize("method_id", [1, 2, 3, 4, 5, 6])
+def test_streaming_one_input_peaks_under_16_kib_at_p_200(method_id):
+    """The measured side of the stored-value count: after one warm call,
+    classifying one input in streaming mode holds O(P) floats (the 200 sums
+    and features) on top of the model, none per input slot, for every method."""
+    import tracemalloc
+
+    config = ReservoirConfig(FillMethod.from_id(method_id), STABLE_PARAMS, reservoir_size=200)
+    reservoir = Reservoir(config).set_statistics(np.zeros(200), np.ones(200))
+    model = NetworkModel(reservoir, Classifier(Architecture(200), rng=0))
+    x = np.random.default_rng(method_id).random(INPUT_DIM)
+    expected = model.predict(x, "streaming")  # warm: the cached post-warm-up state
+    tracemalloc.start()
+    try:
+        got = model.predict(x, "streaming")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == expected.tolist()
+    assert peak < 16 * 1024, f"peak {peak / 1024:.1f} KiB"
 
 
 def test_footprint_validates_arguments():

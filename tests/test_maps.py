@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaosnet.analysis import poincare_pairs
-from chaosnet.maps import CLAMP_LIMIT, MapOverflowError, MapParams, iterate_series
+from chaosnet.maps import (
+    CLAMP_LIMIT,
+    MAP_PARAM_NAMES,
+    MapOverflowError,
+    MapParams,
+    iterate_series,
+)
 
 # Fig-style coefficient set used for the hand-derived iterates below
 FIXED = dict(a1=1.0, a2=1.0, a3=1.51, a4=0.74, A=-0.81, B=0.51)
@@ -139,3 +145,11 @@ class TestMapParamsValidation:
     def test_rejects_negative_transient(self):
         with pytest.raises(ValueError):
             MapParams(a1=0, a2=0, a3=0, a4=0, A=0, B=0, preliminary_iterations=-1)
+
+    def test_scalars_are_stored_as_python_floats(self):
+        """numpy or int coefficients would make every orbit step numpy scalar
+        arithmetic: several times slower, and an overflow a warning."""
+        params = MapParams(*np.array([3.0, 3.0, 0.0, 0.0, -0.81, 0.51]))
+        assert all(type(getattr(params, name)) is float for name in MAP_PARAM_NAMES)
+        assert type(params.replace(a1=np.float64(2.0), B=1).a1) is float
+        assert type(params.replace(B=1).B) is float

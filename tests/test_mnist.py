@@ -29,7 +29,7 @@ def tiny_dataset(count=20, seed=0):
     rng = np.random.default_rng(seed)
     images = rng.integers(0, 256, size=(count, 28, 28), dtype=np.uint8)
     labels = rng.integers(0, 10, size=count, dtype=np.uint8)
-    return LabeledDataset(images, labels, provenance="tiny")
+    return LabeledDataset(images, labels)
 
 
 # ---------------------------------------------------------------- serialization
@@ -57,10 +57,9 @@ def test_round_trip_plain_files(tmp_path):
     images_path = tmp_path / "imgs-idx3-ubyte"
     labels_path = tmp_path / "labs-idx1-ubyte"
     save_idx(ds, images_path, labels_path)
-    back = load_idx(images_path, labels_path, "roundtrip")
+    back = load_idx(images_path, labels_path)
     assert np.array_equal(back.images, ds.images)
     assert np.array_equal(back.labels, ds.labels)
-    assert back.provenance == "roundtrip"
 
 
 def test_round_trip_gzip_files(tmp_path):
@@ -189,7 +188,7 @@ def test_loading_60k_gzipped_images_holds_them_once(tmp_path):
 def test_count_mismatch_raises(tmp_path):
     ds = tiny_dataset(4)
     save_idx(ds, tmp_path / "imgs", tmp_path / "labs")
-    short = LabeledDataset(ds.images[:3], ds.labels[:3], provenance="short")
+    short = LabeledDataset(ds.images[:3], ds.labels[:3])
     save_idx(short, tmp_path / "short-imgs", tmp_path / "short-labs")
     with pytest.raises(IdxCountMismatchError):
         load_idx(tmp_path / "imgs", tmp_path / "short-labs")
@@ -214,39 +213,34 @@ def test_dataset_validates_shapes_and_types():
         LabeledDataset(
             np.zeros((2, 28, 28), dtype=np.float64),
             np.zeros(2, dtype=np.uint8),
-            provenance="bad",
         )
     with pytest.raises(ValueError):  # refused, not cast
         LabeledDataset(
             np.zeros((2, 28, 28), dtype=np.uint8),
             np.zeros(2, dtype=np.int64),
-            provenance="bad",
         )
     with pytest.raises(ValueError):
         LabeledDataset(
             np.zeros((2, 28, 28), dtype=np.uint8),
             np.zeros(3, dtype=np.uint8),
-            provenance="bad",
         )
     with pytest.raises(ValueError):
         LabeledDataset(
             np.zeros((2, 28, 28), dtype=np.uint8),
             np.array([0, 11], dtype=np.uint8),
-            provenance="bad",
         )
 
 
 def test_dataset_len_histogram_subset():
     images = np.zeros((6, 28, 28), dtype=np.uint8)
     labels = np.array([0, 0, 1, 2, 2, 2], dtype=np.uint8)
-    ds = LabeledDataset(images, labels, provenance="base")
+    ds = LabeledDataset(images, labels)
     assert len(ds) == 6
     hist = np.bincount(ds.labels, minlength=10)
     assert hist.tolist() == [2, 1, 3, 0, 0, 0, 0, 0, 0, 0]
-    sub = ds.subset([2, 3], provenance="picked")
+    sub = ds.subset([2, 3])
     assert len(sub) == 2
     assert sub.labels.tolist() == [1, 2]
-    assert sub.provenance == "picked"
 
 
 # ---------------------------------------------------------------- splits
@@ -315,10 +309,9 @@ def test_split_of_no_rows_is_refused():
 def test_split_subset_is_the_optimization_subset_of_the_training_base():
     images = np.zeros((60000, 28, 28), dtype=np.uint8)
     labels = np.tile(np.arange(10, dtype=np.uint8), 6000)
-    ds = LabeledDataset(images, labels, provenance="train60k")
-    sub = ds.subset(split_indices(ds.labels, SplitPlan()), "optimization12k")
+    ds = LabeledDataset(images, labels)
+    sub = ds.subset(split_indices(ds.labels, SplitPlan()))
     assert len(sub) == 12000
-    assert sub.provenance == "optimization12k"
     assert np.all(np.bincount(sub.labels, minlength=10) == 1200)
 
 
@@ -372,5 +365,3 @@ def test_load_mnist_reads_synthetic_corpus(synthetic_data_dir):
     train, test = load_mnist(synthetic_data_dir)
     assert len(train) == 200
     assert len(test) == 50
-    assert train.provenance == "train60k"
-    assert test.provenance == "test10k"

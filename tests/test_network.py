@@ -1,5 +1,6 @@
 """Softmax head, backprop gradients, SGD training loop, model persistence."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from chaosnet.network import (
     Architecture,
     Classifier,
+    NetworkModel,
     TrainConfig,
     TrainingDivergedError,
     cross_entropy,
@@ -19,7 +21,7 @@ from chaosnet.network import (
     save_model,
     train,
 )
-from chaosnet.reservoir import FillMethod, ReservoirConfig
+from chaosnet.reservoir import FillMethod, Reservoir, ReservoirConfig
 
 from conftest import STABLE_PARAMS, make_balanced_band_images, make_band_images
 
@@ -71,15 +73,17 @@ def test_zero_weights_give_uniform_probabilities(hidden):
 
 
 def test_hand_computed_forward_pass():
-    """Explicit weights, two features, three classes, worked by hand."""
-    clf = Classifier(Architecture(2, n_classes=3), rng=0)
-    # rows = classes, columns = [w_feature1, w_feature2, bias]
+    """Explicit weights, two features, ten classes, worked by hand."""
+    clf = Classifier(Architecture(2), rng=0)
+    # rows = classes, columns = [w_feature1, w_feature2, bias]; classes 3-9
+    # all carry bias -1
     clf.weights = [
         np.array(
             [
                 [1.0, -1.0, 0.5],
                 [0.0, 2.0, -0.5],
                 [-1.5, 0.5, 0.0],
+                *7 * [[0.0, 0.0, -1.0]],
             ]
         )
     ]
@@ -88,6 +92,7 @@ def test_hand_computed_forward_pass():
         1.0 * 0.3 - 1.0 * 0.7 + 0.5,  # 0.1
         0.0 * 0.3 + 2.0 * 0.7 - 0.5,  # 0.9
         -1.5 * 0.3 + 0.5 * 0.7 + 0.0,  # -0.1
+        *7 * [-1.0],
     ]
     denom = sum(math.exp(v) for v in z)
     expected = [math.exp(v) / denom for v in z]
@@ -135,17 +140,17 @@ def test_gradient_check_detects_sign_flip():
 
 
 def test_saturated_correct_prediction_has_tiny_gradients():
-    clf = Classifier(Architecture(2, n_classes=3), rng=0)
-    clf.weights = [np.zeros((3, 3))]
+    clf = Classifier(Architecture(2), rng=0)
+    clf.weights = [np.zeros((10, 3))]
     clf.weights[0][1, 2] = 50.0  # huge bias drives class 1 probability to ~1
     _, grads = clf.loss_and_gradients(np.array([[0.2, 0.4]]), np.array([1]))
     assert max(float(np.abs(g).max()) for g in grads) < 1e-10
 
 
 def test_numeric_gradients_shapes_match_weights():
-    clf = Classifier(Architecture(3, 2, 4), rng=1)
+    clf = Classifier(Architecture(3, 2), rng=1)
     rng = np.random.default_rng(6)
-    grads = numeric_gradients(clf, rng.random((5, 3)), rng.integers(0, 4, size=5))
+    grads = numeric_gradients(clf, rng.random((5, 3)), rng.integers(0, 10, size=5))
     assert [g.shape for g in grads] == [w.shape for w in clf.weights]
 
 
@@ -294,8 +299,16 @@ def test_architecture_validation():
         Architecture(0)
     with pytest.raises(ValueError):
         Architecture(10, 0)
+    with pytest.raises(TypeError):  # the class count is N_CLASSES, not a field
+        Architecture(10, n_classes=10)
+
+
+def test_model_refuses_a_classifier_of_another_p():
+    config = ReservoirConfig(FillMethod.from_id(6), STABLE_PARAMS, reservoir_size=5)
     with pytest.raises(ValueError):
-        Architecture(10, n_classes=1)
+        NetworkModel(Reservoir(config), Classifier(Architecture(6), rng=0))
+    model = NetworkModel(Reservoir(config), Classifier(Architecture(5, 3), rng=0))
+    assert model.architecture == Architecture(5, 3)
 
 
 # ---------------------------------------------------------------- persistence
@@ -315,8 +328,6 @@ def test_model_round_trip_is_value_exact(tmp_path, tiny_trained_model):
 
 
 def test_load_rejects_unknown_format_version(tmp_path, tiny_trained_model):
-    import json
-
     path = tmp_path / "model.json"
     save_model(tiny_trained_model, path)
     payload = json.loads(path.read_text())
@@ -326,9 +337,50 @@ def test_load_rejects_unknown_format_version(tmp_path, tiny_trained_model):
         load_model(path)
 
 
-def test_classifier_from_dict_rejects_bad_shapes():
-    clf = Classifier(Architecture(3, n_classes=4), rng=0)
-    payload = clf.to_dict()
-    payload["weights"][0] = [[0.0, 1.0]]  # wrong shape for a 3-feature head
+def _saved_payload(model, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    return path, json.loads(path.read_text())
+
+
+def test_load_model_rejects_bad_weight_shapes(tmp_path, tiny_trained_model):
+    path, payload = _saved_payload(tiny_trained_model, tmp_path)
+    payload["classifier"]["weights"][0] = [[0.0, 1.0]]  # wrong shape for a 5-feature head
+    path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
-        Classifier.from_dict(payload)
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("reservoir", "input_dim", 784),
+        ("reservoir", "input_dim", 3),
+        ("architecture", "n_classes", 9),
+        ("classifier", "input_size", 6),
+        ("classifier", "hidden_sizes", [4]),
+        ("classifier", "output_size", 9),
+    ],
+)
+def test_load_model_refuses_a_shape_its_architecture_does_not_have(
+    tmp_path, tiny_trained_model, section, key, value
+):
+    """The architecture section alone gives the shape; every other size in
+    the file must agree with it, with 785 inputs and with 10 classes."""
+    path, payload = _saved_payload(tiny_trained_model, tmp_path)
+    payload[section][key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"{section}.{key}"):
+        load_model(path)
+
+
+def test_model_file_states_the_sizes_in_every_section(tmp_path, tiny_trained_model):
+    """The sizes are written from the architecture and the two constants,
+    in the key order the format has always had."""
+    _, payload = _saved_payload(tiny_trained_model, tmp_path)
+    arch = [("reservoir_size", 5), ("hidden_size", None), ("n_classes", 10)]
+    assert list(payload["architecture"].items()) == arch
+    assert list(payload["reservoir"])[:2] == ["method_id", "input_dim"]
+    assert payload["reservoir"]["input_dim"] == 785
+    head = [("input_size", 5), ("hidden_sizes", []), ("output_size", 10)]
+    assert list(payload["classifier"].items())[:3] == head
