@@ -160,6 +160,9 @@ class SweepConfig:
         except (OverflowError, ValueError, MemoryError) as exc:
             raise ValueError(f"sweep grid of step {self.step} over [{self.lo}, {self.hi}] "
                              f"cannot be built: {exc}") from None
+        # sine initial conditions divide by B, as ReservoirConfig checks
+        if self.method.init_kind == "sine" and self.parameter == "B" and (self.values == 0).any():
+            raise ValueError(f"method {self.method.id} divides by B, so a B sweep must not hold 0")
         # ApEn at the table's largest m compares windows of m + 1 values, so
         # it needs more than m + 1 values
         shortest = max(TABLE_M_VALUES) + 2

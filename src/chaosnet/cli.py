@@ -35,7 +35,7 @@ import yaml
 
 import chaosnet
 from chaosnet import analysis, footprint, mnist, network, rpso
-from chaosnet.maps import MapOverflowError, MapParams
+from chaosnet.maps import MAP_PARAM_NAMES, MapOverflowError, MapParams
 from chaosnet.mnist import N_CLASSES, IdxFormatError, SplitPlan, split_indices
 from chaosnet.network import Architecture, TrainConfig, TrainingDivergedError
 from chaosnet.reservoir import MODES, FillMethod, ReservoirConfig
@@ -287,6 +287,24 @@ def _architecture(P, H=None) -> Architecture:
     return Architecture(_int(P), None if H is None else _int(H))
 
 
+def _search_box(method: FillMethod, **fields) -> rpso.SwarmConfig:
+    """The swarm over the map's search box: one coordinate per map parameter,
+    and under a sine method, which divides by B, no B of 0 in reach."""
+    swarm = rpso.SwarmConfig(**fields)
+    if swarm.dimensions != len(MAP_PARAM_NAMES):
+        raise ValueError(
+            f"lower and upper need {len(MAP_PARAM_NAMES)} coordinates "
+            f"({', '.join(MAP_PARAM_NAMES)}), got {swarm.dimensions}"
+        )
+    b = MAP_PARAM_NAMES.index("B")
+    if method.init_kind == "sine" and swarm.lower[b] <= 0.0 <= swarm.upper[b]:
+        raise ValueError(
+            f"method {method.id} divides by B, so the B interval "
+            f"[{swarm.lower[b]}, {swarm.upper[b]}] must not hold 0"
+        )
+    return swarm
+
+
 def settings(config: dict) -> Settings:
     """Convert the resolved tree, every key of it, whichever command runs.
 
@@ -324,7 +342,7 @@ def settings(config: dict) -> Settings:
         split=_convert(
             "split", SplitPlan, c["split"]["fraction"], seed, c["split"]["stratified"]
         ),
-        swarm=_convert("optimize", rpso.SwarmConfig, **c["optimize"], rng_seed=seed),
+        swarm=_convert("optimize", _search_box, method, **c["optimize"], rng_seed=seed),
         sweep=_convert("sweep", analysis.SweepConfig, **c["sweep"], fixed=params, method=method),
         with_accuracy=with_accuracy,
         poincare_params=_convert(
@@ -613,14 +631,16 @@ def cmd_report(config: dict, s: Settings) -> int:
         _write_csv(
             out / f"footprint-{mode}.csv",
             digest,
-            ["reservoir_parameter_count", "classifier_weight_count", "streaming_mode",
-             "bytes_per_value", "estimated_bytes"],
-            [[report.reservoir_parameter_count, report.classifier_weight_count,
-              int(report.streaming_mode), report.bytes_per_value, report.estimated_bytes]],
+            ["reservoir_parameter_count", "normalization_value_count",
+             "classifier_weight_count", "streaming_mode", "bytes_per_value", "estimated_bytes"],
+            [[report.reservoir_parameter_count, report.normalization_value_count,
+              report.classifier_weight_count, int(report.streaming_mode),
+              report.bytes_per_value, report.estimated_bytes]],
         )
         lines += [
             f"reservoir mode:            {mode}",
             f"reservoir parameter count: {report.reservoir_parameter_count}",
+            f"normalization statistics:  {report.normalization_value_count}",
             f"classifier weight count:   {report.classifier_weight_count}",
             f"total stored values:       {report.total_value_count}",
             f"bytes per value:           {report.bytes_per_value}",

@@ -3,7 +3,9 @@
 Counts the numeric values a deployed artifact must hold.  In streaming
 mode the reservoir stage stores only the six map scalars no matter how
 many neurons it has; materialized mode stores the full P x 785 matrix.
-The classifier always stores its dense layers (bias columns included).
+Both modes store the 2P normalization statistics (``z_min`` and ``z_max``
+of every neuron), which squash every input's features, and the
+classifier's dense layers (bias columns included).
 Device-level RAM (stack, buffers) is out of scope: the report compares
 stored values, which is also how the map's cost is compared against a
 logistic-map baseline.
@@ -31,13 +33,15 @@ def map_parameter_delta() -> int:
 @dataclass(frozen=True)
 class FootprintReport:
     reservoir_parameter_count: int
+    normalization_value_count: int
     classifier_weight_count: int
     streaming_mode: bool
     bytes_per_value: int = DEFAULT_BYTES_PER_VALUE
 
     @property
     def total_value_count(self) -> int:
-        return self.reservoir_parameter_count + self.classifier_weight_count
+        return (self.reservoir_parameter_count + self.normalization_value_count
+                + self.classifier_weight_count)
 
     @property
     def estimated_bytes(self) -> int:
@@ -51,13 +55,12 @@ def footprint(model, mode: str = "streaming",
         raise ValueError(f"unknown mode {mode!r}")
     if bytes_per_value < 1:
         raise ValueError(f"bytes_per_value must be >= 1, got {bytes_per_value}")
-    if mode == "streaming":
-        reservoir_count = HENON_PARAMETER_COUNT
-    else:
-        reservoir_count = model.reservoir.config.reservoir_size * INPUT_DIM
+    p = model.reservoir.config.reservoir_size
+    reservoir_count = HENON_PARAMETER_COUNT if mode == "streaming" else p * INPUT_DIM
     classifier_count = int(sum(w.size for w in model.classifier.weights))
     return FootprintReport(
         reservoir_parameter_count=reservoir_count,
+        normalization_value_count=2 * p,
         classifier_weight_count=classifier_count,
         streaming_mode=(mode == "streaming"),
         bytes_per_value=bytes_per_value,

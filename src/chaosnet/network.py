@@ -76,13 +76,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-likelihood of integer ``labels`` under softmax."""
-    logp = log_softmax(np.atleast_2d(logits))
-    labels = np.atleast_1d(labels)
-    return float(-logp[np.arange(labels.size), labels].mean())
-
-
 def _augment(x: np.ndarray) -> np.ndarray:
     ones = np.ones((x.shape[0], 1), dtype=np.float64)
     return np.concatenate([x, ones], axis=1)
@@ -126,9 +119,6 @@ class Classifier:
         """The argmax label of every row, as an array (one label for one row)."""
         return self.logits(features).argmax(axis=1)
 
-    def loss(self, features: np.ndarray, labels: np.ndarray) -> float:
-        return cross_entropy(self.logits(features), labels)
-
     # -- gradients ---------------------------------------------------------
 
     def loss_and_gradients(
@@ -161,10 +151,10 @@ class Classifier:
         features: np.ndarray,
         labels: np.ndarray,
         *,
-        learning_rate: float = DEFAULT_LEARNING_RATE,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        epochs: int = DEFAULT_EPOCHS,
-        rng: np.random.Generator | int | None = None,
+        learning_rate: float,
+        batch_size: int,
+        epochs: int,
+        rng: np.random.Generator | int | None,
     ) -> list[float]:
         """Mini-batch SGD; returns the mean training loss of each epoch."""
         x = np.asarray(features, dtype=np.float64)
@@ -188,40 +178,6 @@ class Classifier:
                 raise TrainingDivergedError(epoch)
             history.append(mean_loss)
         return history
-
-
-def numeric_gradients(
-    model: Classifier, features: np.ndarray, labels: np.ndarray, epsilon: float = 1e-5
-) -> list[np.ndarray]:
-    """Central-difference gradient of the mean cross-entropy loss."""
-    grads = []
-    for w in model.weights:
-        g = np.zeros_like(w)
-        it = np.nditer(w, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = w[idx]
-            w[idx] = orig + epsilon
-            hi = model.loss(features, labels)
-            w[idx] = orig - epsilon
-            lo = model.loss(features, labels)
-            w[idx] = orig
-            g[idx] = (hi - lo) / (2.0 * epsilon)
-        grads.append(g)
-    return grads
-
-
-def gradient_check(
-    model: Classifier, features: np.ndarray, labels: np.ndarray, epsilon: float = 1e-5
-) -> float:
-    """Worst relative disagreement between analytic and numeric gradients."""
-    _, analytic = model.loss_and_gradients(features, labels)
-    numeric = numeric_gradients(model, features, labels, epsilon)
-    worst = 0.0
-    for ga, gn in zip(analytic, numeric):
-        denom = np.maximum(np.maximum(np.abs(ga), np.abs(gn)), 1e-8)
-        worst = max(worst, float((np.abs(ga - gn) / denom).max()))
-    return worst
 
 
 # -- whole-model layer: fixed reservoir + trained head -------------------------
@@ -410,9 +366,6 @@ __all__ = [
     "save_model",
     "load_model",
     "log_softmax",
-    "cross_entropy",
-    "numeric_gradients",
-    "gradient_check",
     "NotFittedError",
     "TrainingDivergedError",
     "DEFAULT_LEARNING_RATE",

@@ -31,7 +31,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from chaosnet.maps import MAP_PARAM_NAMES, MapOverflowError, MapParams
-from chaosnet.network import TrainingDivergedError
+from chaosnet.network import TrainConfig, TrainingDivergedError, evaluate, train
+from chaosnet.reservoir import ReservoirConfig
 
 # search box for map-parameter tuning, coordinate order MAP_PARAM_NAMES
 MAP_LOWER_BOUNDS = np.array([0.01, 0.1, 0.0, 0.0, 0.0, 0.0])
@@ -197,27 +198,20 @@ def init_swarm(objective: Callable[[np.ndarray], float], config: SwarmConfig) ->
     return swarm
 
 
-def pso_step(
-    swarm: Swarm,
-    objective: Callable[[np.ndarray], float],
-    r1: np.ndarray | float | None = None,
-    r2: np.ndarray | float | None = None,
-) -> Swarm:
+def pso_step(swarm: Swarm, objective: Callable[[np.ndarray], float]) -> Swarm:
     """One velocity/position update, bound clamp, fitness refresh.
 
-    ``r1`` and ``r2`` default to fresh uniform(0, 1) draws per particle and
-    dimension; tests may inject fixed values.
+    ``r1`` and ``r2`` are fresh uniform(0, 1) draws from ``swarm.rng``, one
+    per particle and dimension.
     """
     config = swarm.config
     n, d = config.particle_count, config.dimensions
-    if r1 is None:
-        r1 = swarm.rng.uniform(size=(n, d))
-    if r2 is None:
-        r2 = swarm.rng.uniform(size=(n, d))
+    r1 = swarm.rng.uniform(size=(n, d))
+    r2 = swarm.rng.uniform(size=(n, d))
     swarm.velocities = (
         config.omega * swarm.velocities
-        + config.c1 * np.asarray(r1) * (swarm.pbest_positions - swarm.positions)
-        + config.c2 * np.asarray(r2) * (swarm.gbest_position - swarm.positions)
+        + config.c1 * r1 * (swarm.pbest_positions - swarm.positions)
+        + config.c2 * r2 * (swarm.gbest_position - swarm.positions)
     )
     swarm.positions = swarm.positions + swarm.velocities
     out = (swarm.positions < config.lower) | (swarm.positions > config.upper)
@@ -365,12 +359,6 @@ def load_checkpoint(path) -> Swarm:
     )
 
 
-def sphere(position: np.ndarray) -> float:
-    """Negated sphere benchmark; the maximum is 0 at the origin."""
-    pos = np.asarray(position, dtype=np.float64)
-    return float(-(pos * pos).sum())
-
-
 def make_accuracy_objective(
     method,
     architecture,
@@ -389,9 +377,6 @@ def make_accuracy_objective(
     training base is held across the search.  A position whose map
     overflows or whose training diverges is worth 0.
     """
-    from chaosnet.network import TrainConfig, evaluate, train
-    from chaosnet.reservoir import ReservoirConfig
-
     if train_config is None:
         train_config = TrainConfig()
 
@@ -425,7 +410,6 @@ __all__ = [
     "resume",
     "save_checkpoint",
     "load_checkpoint",
-    "sphere",
     "make_accuracy_objective",
     "params_from_position",
     "position_from_params",

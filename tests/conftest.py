@@ -1,4 +1,5 @@
-"""Shared fixtures: synthetic image sets, IDX files on disk, small trained models."""
+"""Shared fixtures: synthetic image sets, IDX files on disk, small trained models,
+and the sphere benchmark the swarm is tested on."""
 
 import numpy as np
 import pytest
@@ -18,6 +19,12 @@ requires_mnist = pytest.mark.skipif(
     find_mnist() is None,
     reason="MNIST IDX files not found (set CHAOSNET_DATA or populate ./data)",
 )
+
+
+def sphere(position: np.ndarray) -> float:
+    """Negated sphere benchmark; the maximum is 0 at the origin."""
+    pos = np.asarray(position, dtype=np.float64)
+    return float(-(pos * pos).sum())
 
 
 def make_band_images(count, seed, height=2, stride=2.8, value=230):

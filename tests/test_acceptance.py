@@ -25,14 +25,14 @@ from chaosnet.network import (
     NetworkModel,
     TrainConfig,
     evaluate,
-    gradient_check,
     train,
 )
 from chaosnet.mnist import SplitPlan, find_mnist, load_mnist, split_indices
 from chaosnet.reservoir import FillMethod, INPUT_DIM, Reservoir, ReservoirConfig
-from chaosnet.rpso import SwarmConfig, optimize, sphere
+from chaosnet.rpso import SwarmConfig, optimize
 
-from conftest import STABLE_PARAMS, requires_mnist
+from conftest import STABLE_PARAMS, requires_mnist, sphere
+from gradcheck import gradient_check
 
 # Fixed orbit parameters for the reduced searches: the published phase
 # portrait constants with a1 left as the swept/fitted knob.

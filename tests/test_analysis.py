@@ -298,6 +298,18 @@ def test_sweep_config_validation():
         sweep_config(record_count=0)
 
 
+def test_sine_sweep_of_b_refuses_a_grid_holding_0():
+    """Methods 1 and 2 divide by B, so a B grid that holds 0.0 is refused;
+    a grid that steps over 0, and every constant method, are accepted."""
+    for method_id in (1, 2):
+        method = FillMethod.from_id(method_id)
+        with pytest.raises(ValueError, match="must not hold 0"):
+            sweep_config(parameter="B", lo=-0.5, hi=0.5, step=0.5, method=method)
+        stepped_over = sweep_config(parameter="B", lo=-0.5, hi=0.5, step=0.3, method=method)
+        assert 0.0 not in stepped_over.values
+    sweep_config(parameter="B", lo=-0.5, hi=0.5, step=0.5, method=FillMethod.from_id(4))
+
+
 def test_sweep_series_is_long_enough_for_the_tables_largest_m():
     """ApEn at m needs more than m + 1 values, so the table's largest m sets
     the shortest series a sweep accepts."""

@@ -185,8 +185,8 @@ def test_report_counts_streaming_values(trained_model_path, tmp_path):
 
 @pytest.fixture(scope="module")
 def report_p25(synthetic_data_dir, tmp_path_factory):
-    """The report of a P = 25 model: 6 map scalars stream, 26 x 10 = 260
-    head weights."""
+    """The report of a P = 25 model: 6 map scalars stream, 2 x 25 = 50
+    normalization statistics, 26 x 10 = 260 head weights."""
     trained = tmp_path_factory.mktemp("p25")
     args = train_smoke_args(synthetic_data_dir, trained)
     args[args.index("architecture.P=5")] = "architecture.P=25"
@@ -205,13 +205,17 @@ def test_report_footprint_csv_layout(report_p25):
     assert "classifier_weight_count" in header
     row = lines[2].split(",")
     assert row[header.index("reservoir_parameter_count")] == "6"
+    assert row[header.index("normalization_value_count")] == "50"
     assert row[header.index("classifier_weight_count")] == "260"
+    assert row[header.index("estimated_bytes")] == str(316 * 8)
 
 
 def test_report_footprint_text_mentions_both_counts(report_p25):
     text = (report_p25 / "footprint.txt").read_text()
     assert "6" in text
     assert "260" in text
+    assert "normalization statistics:  50" in text
+    assert "total stored values:       316" in text
     assert "streaming" in text.lower()
 
 
@@ -867,6 +871,24 @@ def test_bad_swarm_size_exits_2(synthetic_data_dir, tmp_path):
             "grid", ["grid.methods=[4, 1]", "params.B=0"], id="grid-grid.methods=[4, 1]-params.B=0"
         ),
         pytest.param("optimize", ["method=1", "params.B=0"], id="optimize-method=1-params.B=0"),
+        # each wrote its manifest, then exited 1: a box of another size fails
+        # to decode a position, and a sine method meets B = 0 mid-run
+        pytest.param(
+            "optimize",
+            ["optimize.lower=[0, 0, 0, 0, 0]", "optimize.upper=[1, 1, 1, 1, 1]"],
+            id="optimize-five-dimensional-box",
+        ),
+        pytest.param(
+            "optimize",
+            ["method=2", "optimize.lower=[0.01, 0.0, 0, 0, 0, 0]",
+             "optimize.particles=6", "optimize.iterations=6"],
+            id="optimize-method=2-B-interval-holds-0",
+        ),
+        pytest.param(
+            "analyze",
+            ["method=1", "sweep.parameter=B", "sweep.lo=-0.5", "sweep.hi=0.5", "sweep.step=0.5"],
+            id="analyze-method=1-B-sweep-holds-0",
+        ),
     ],
 )
 def test_bad_value_under_valid_key_exits_2_before_reading_data(

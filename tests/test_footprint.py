@@ -26,15 +26,17 @@ def model_with_reservoir_size(p):
 def test_streaming_footprint_counts_only_map_parameters():
     report = footprint(model_with_reservoir_size(25), mode="streaming")
     assert report.reservoir_parameter_count == 6
+    assert report.normalization_value_count == 2 * 25
     assert report.classifier_weight_count == 260
-    assert report.total_value_count == 266
+    assert report.total_value_count == 316
     assert report.streaming_mode
 
 
 def test_materialized_footprint_counts_the_whole_matrix():
     report = footprint(model_with_reservoir_size(25), mode="materialized")
     assert report.reservoir_parameter_count == 25 * 785
-    assert report.total_value_count == 25 * 785 + 260
+    assert report.normalization_value_count == 2 * 25
+    assert report.total_value_count == 25 * 785 + 2 * 25 + 260
 
 
 @pytest.mark.parametrize("p", [25, 100, 200])
@@ -50,6 +52,8 @@ def test_hidden_layer_expands_classifier_count():
     model = NetworkModel(Reservoir(config), Classifier(Architecture(100, 60), rng=0))
     report = footprint(model)
     assert report.classifier_weight_count == 60 * 101 + 10 * 61
+    # 6 map scalars, 2 x 100 statistics and the 6,720 head weights
+    assert report.total_value_count == 6876
 
 
 def test_parameter_delta_against_logistic_map():
@@ -59,10 +63,10 @@ def test_parameter_delta_against_logistic_map():
 
 
 def test_estimated_bytes_scales_with_value_width():
-    report = FootprintReport(6, 260, streaming_mode=True, bytes_per_value=8)
-    assert report.estimated_bytes == 266 * 8
+    report = FootprintReport(6, 50, 260, streaming_mode=True, bytes_per_value=8)
+    assert report.estimated_bytes == 316 * 8
     halved = footprint(model_with_reservoir_size(25), bytes_per_value=4)
-    assert halved.estimated_bytes == 266 * 4
+    assert halved.estimated_bytes == 316 * 4
 
 
 @pytest.mark.parametrize("method_id", [1, 2, 3, 4, 5, 6])

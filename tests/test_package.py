@@ -1,6 +1,9 @@
-"""The public names of the package and of its modules resolve."""
+"""The public names of the package and of its modules resolve, and each
+has a caller outside the tests."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -14,3 +17,60 @@ def test_every_name_in_all_resolves(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ names {missing}"
+
+
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "chaosnet"
+PRODUCT_MODULES = ("analysis", "footprint", "mnist", "network", "rpso")
+# public names no product code calls, each with the reason it stays public
+KEPT_WITHOUT_PRODUCT_USE = {
+    "footprint.map_parameter_delta": "the paper's comparison with the logistic-map "
+    "LogNet, which acceptance criterion 9 reports",
+}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _used_names(nodes) -> set[str]:
+    """Identifiers read as a Name or an attribute anywhere under ``nodes``;
+    import lists, string literals and docstrings do not count."""
+    used = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                used.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                used.add(sub.attr)
+    return used
+
+
+def _defines(statement: ast.stmt, name: str) -> bool:
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return statement.name == name
+    targets = statement.targets if isinstance(statement, ast.Assign) else [
+        getattr(statement, "target", None)
+    ]
+    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+
+@pytest.mark.parametrize("module_name", PRODUCT_MODULES)
+def test_every_public_name_has_a_product_caller(module_name):
+    """A name in ``__all__`` is read by another module of the package, by
+    perfbench, or by its own module outside its definition; a name only
+    tests read belongs in the tests."""
+    module = importlib.import_module(f"chaosnet.{module_name}")
+    own = _parse(PACKAGE / f"{module_name}.py")
+    others = [PACKAGE.glob("*.py"), (REPO / "perfbench").glob("*.py")]
+    elsewhere = _used_names(
+        _parse(path) for paths in others for path in paths if path.stem != module_name
+    )
+    unused = []
+    for name in module.__all__:
+        if f"{module_name}.{name}" in KEPT_WITHOUT_PRODUCT_USE or name in elsewhere:
+            continue
+        rest = [s for s in own.body if not _defines(s, name) and not _defines(s, "__all__")]
+        if name not in _used_names(rest):
+            unused.append(name)
+    assert not unused, f"only tests use {module_name}.{unused}; move them into tests/"

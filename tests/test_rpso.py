@@ -28,10 +28,9 @@ from chaosnet.rpso import (
     pso_step,
     resume,
     save_checkpoint,
-    sphere,
 )
 
-from conftest import STABLE_PARAMS, make_band_images
+from conftest import STABLE_PARAMS, make_band_images, sphere
 
 
 def box_config(**overrides):
@@ -90,7 +89,18 @@ def test_config_validation():
 # ---------------------------------------------------------------- velocity update
 
 
-def manual_swarm(position, velocity, pbest, gbest, lower=-5.0, upper=5.0):
+class FixedDraws:
+    """Stands in for ``swarm.rng`` in one pso_step: its first uniform draw
+    is ``r1`` and its second ``r2``, for every particle and dimension."""
+
+    def __init__(self, r1, r2):
+        self._draws = iter((r1, r2))
+
+    def uniform(self, size):
+        return np.full(size, next(self._draws))
+
+
+def manual_swarm(position, velocity, pbest, gbest, draws, lower=-5.0, upper=5.0):
     config = SwarmConfig(
         lower=np.array([lower]),
         upper=np.array([upper]),
@@ -101,7 +111,7 @@ def manual_swarm(position, velocity, pbest, gbest, lower=-5.0, upper=5.0):
     )
     return Swarm(
         config=config,
-        rng=np.random.default_rng(0),
+        rng=FixedDraws(*draws),
         positions=np.array([[position]]),
         velocities=np.array([[velocity]]),
         pbest_positions=np.array([[pbest]]),
@@ -117,36 +127,36 @@ def manual_swarm(position, velocity, pbest, gbest, lower=-5.0, upper=5.0):
 def test_velocity_update_hand_example():
     """x=0.2, v=0.1, pbest=0.5, gbest=0.9, r1=0.3, r2=0.6 with the default
     omega=0.5, c1=c2=2 gives v' = 0.05 + 0.18 + 0.84 = 1.07 and x' = 1.27."""
-    swarm = manual_swarm(0.2, 0.1, 0.5, 0.9)
-    pso_step(swarm, lambda p: 0.0, r1=np.array([[0.3]]), r2=np.array([[0.6]]))
+    swarm = manual_swarm(0.2, 0.1, 0.5, 0.9, draws=(0.3, 0.6))
+    pso_step(swarm, lambda p: 0.0)
     assert swarm.velocities[0, 0] == pytest.approx(1.07, abs=1e-12)
     assert swarm.positions[0, 0] == pytest.approx(1.27, abs=1e-12)
 
 
 def test_velocity_decays_with_zero_random_draws():
-    swarm = manual_swarm(0.2, 0.4, 0.5, 0.9)
-    pso_step(swarm, lambda p: 0.0, r1=0.0, r2=0.0)
+    swarm = manual_swarm(0.2, 0.4, 0.5, 0.9, draws=(0.0, 0.0))
+    pso_step(swarm, lambda p: 0.0)
     assert swarm.velocities[0, 0] == pytest.approx(0.2, abs=1e-15)
 
 
 def test_particle_sitting_at_both_bests_only_keeps_inertia():
-    swarm = manual_swarm(0.7, 0.4, 0.7, 0.7)
-    pso_step(swarm, lambda p: 0.0, r1=1.0, r2=1.0)
+    swarm = manual_swarm(0.7, 0.4, 0.7, 0.7, draws=(1.0, 1.0))
+    pso_step(swarm, lambda p: 0.0)
     assert swarm.velocities[0, 0] == pytest.approx(0.2, abs=1e-15)
 
 
 def test_out_of_bounds_particle_is_clamped_with_zero_velocity():
-    swarm = manual_swarm(4.9, 0.5, 5.0, 5.0)
-    pso_step(swarm, lambda p: 0.0, r1=1.0, r2=1.0)
+    swarm = manual_swarm(4.9, 0.5, 5.0, 5.0, draws=(1.0, 1.0))
+    pso_step(swarm, lambda p: 0.0)
     assert swarm.positions[0, 0] == 5.0
     assert swarm.velocities[0, 0] == 0.0
 
 
 def test_pso_step_updates_personal_and_global_best():
-    swarm = manual_swarm(0.2, 0.0, 0.2, 0.2)
+    swarm = manual_swarm(0.2, 0.0, 0.2, 0.2, draws=(0.5, 0.5))
     swarm.pbest_fitness = np.array([float(-(0.2 - 0.3) ** 2)])
     swarm.gbest_fitness = float(-(0.2 - 0.3) ** 2)
-    pso_step(swarm, lambda p: float(-((p[0] - 0.3) ** 2)), r1=0.5, r2=0.5)
+    pso_step(swarm, lambda p: float(-((p[0] - 0.3) ** 2)))
     assert swarm.evaluations == 1
     assert swarm.gbest_fitness >= -(0.2 - 0.3) ** 2
 
@@ -157,10 +167,10 @@ def test_failing_objective_scores_negative_infinity():
         def bad(position):
             raise error
 
-        swarm = manual_swarm(0.2, 0.1, 0.5, 0.9)
+        swarm = manual_swarm(0.2, 0.1, 0.5, 0.9, draws=(0.0, 0.0))
         swarm.pbest_fitness = np.array([-4.0])
         swarm.gbest_fitness = -4.0
-        pso_step(swarm, bad, r1=0.0, r2=0.0)
+        pso_step(swarm, bad)
         # the failed evaluation must not displace the existing bests
         assert swarm.pbest_fitness[0] == -4.0
         assert swarm.gbest_fitness == -4.0
@@ -172,9 +182,9 @@ def test_unexpected_objective_error_escapes_the_swarm():
 
     with pytest.raises(ZeroDivisionError):
         init_swarm(buggy, box_config())
-    swarm = manual_swarm(0.2, 0.1, 0.5, 0.9)
+    swarm = manual_swarm(0.2, 0.1, 0.5, 0.9, draws=(0.0, 0.0))
     with pytest.raises(ZeroDivisionError):
-        pso_step(swarm, buggy, r1=0.0, r2=0.0)
+        pso_step(swarm, buggy)
 
 
 def test_init_swarm_raises_when_everything_fails():
