@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from chaosnet.maps import MAP_PARAM_NAMES, MapOverflowError, MapParams, iterate_series, orbit
-from chaosnet.reservoir import INPUT_DIM, FillMethod, ReservoirConfig, build_matrix
+from chaosnet.reservoir import INPUT_DIM, FillMethod, ReservoirConfig, build_matrix, valid_sine_b
 
 DEFAULT_M = 2
 DEFAULT_R = 0.025
@@ -160,9 +160,13 @@ class SweepConfig:
         except (OverflowError, ValueError, MemoryError) as exc:
             raise ValueError(f"sweep grid of step {self.step} over [{self.lo}, {self.hi}] "
                              f"cannot be built: {exc}") from None
-        # sine initial conditions divide by B, as ReservoirConfig checks
-        if self.method.init_kind == "sine" and self.parameter == "B" and (self.values == 0).any():
-            raise ValueError(f"method {self.method.id} divides by B, so a B sweep must not hold 0")
+        # sine initial conditions divide by B, as ReservoirConfig checks; the
+        # grid value nearest 0 is the one pi / B overflows first at
+        if self.method.init_kind == "sine" and self.parameter == "B":
+            values = self.values
+            if not valid_sine_b(values[np.abs(values).argmin()]):
+                raise ValueError(f"method {self.method.id} divides by B, so a B sweep must not "
+                                 "hold 0 or a B so near 0 that pi / B overflows")
         # ApEn at the table's largest m compares windows of m + 1 values, so
         # it needs more than m + 1 values
         shortest = max(TABLE_M_VALUES) + 2

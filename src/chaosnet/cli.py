@@ -9,10 +9,14 @@ model), ``grid`` (methods x architectures accuracy table).
 Configuration is a single YAML tree; any leaf can be overridden from the
 command line with ``--set dotted.path=value``.  :func:`settings` converts
 the whole tree once, before any command runs, so a bad value under any key
-exits 2 before a file is written or data is read.  Every run writes a
-manifest with the fully resolved configuration and seed.  Every table a
-command emits goes through :func:`_write_csv`, whose first line cites the
-artifact version and the manifest hash; the library modules write no tables.
+exits 2 before a file is written or data is read.  Every command computes
+first and writes after, so a run that fails in its computation leaves the
+files of its output directory as they were, but for ``optimize``'s
+per-iteration checkpoint, which ``--resume`` reads.  A run that succeeds
+writes, last, a manifest with the fully resolved configuration and seed.
+Every table a command emits goes through :func:`_write_csv`, whose first
+line cites the artifact version and the manifest hash; the library
+modules write no tables.
 ``model.json`` and ``metrics.json`` carry the whole hash in a field.
 """
 
@@ -38,7 +42,7 @@ from chaosnet import analysis, footprint, mnist, network, rpso
 from chaosnet.maps import MAP_PARAM_NAMES, MapOverflowError, MapParams
 from chaosnet.mnist import N_CLASSES, IdxFormatError, SplitPlan, split_indices
 from chaosnet.network import Architecture, TrainConfig, TrainingDivergedError
-from chaosnet.reservoir import MODES, FillMethod, ReservoirConfig
+from chaosnet.reservoir import MODES, FillMethod, ReservoirConfig, valid_sine_b
 from chaosnet.rpso import OptimizationError
 
 EXIT_OK = 0
@@ -289,7 +293,8 @@ def _architecture(P, H=None) -> Architecture:
 
 def _search_box(method: FillMethod, **fields) -> rpso.SwarmConfig:
     """The swarm over the map's search box: one coordinate per map parameter,
-    and under a sine method, which divides by B, no B of 0 in reach."""
+    and under a sine method, which divides by B, no B in reach that
+    :func:`valid_sine_b` refuses."""
     swarm = rpso.SwarmConfig(**fields)
     if swarm.dimensions != len(MAP_PARAM_NAMES):
         raise ValueError(
@@ -297,10 +302,12 @@ def _search_box(method: FillMethod, **fields) -> rpso.SwarmConfig:
             f"({', '.join(MAP_PARAM_NAMES)}), got {swarm.dimensions}"
         )
     b = MAP_PARAM_NAMES.index("B")
-    if method.init_kind == "sine" and swarm.lower[b] <= 0.0 <= swarm.upper[b]:
+    lo, hi = swarm.lower[b], swarm.upper[b]
+    nearest_0 = 0.0 if lo <= 0.0 <= hi else min(lo, hi, key=abs)
+    if method.init_kind == "sine" and not valid_sine_b(nearest_0):
         raise ValueError(
-            f"method {method.id} divides by B, so the B interval "
-            f"[{swarm.lower[b]}, {swarm.upper[b]}] must not hold 0"
+            f"method {method.id} divides by B, so the B interval [{lo}, {hi}] "
+            "must not hold 0 or a B so near 0 that pi / B overflows"
         )
     return swarm
 
@@ -395,8 +402,9 @@ def _blas_threads() -> int | None:
     return None
 
 
-def write_manifest(config: dict, out: Path, command: str) -> tuple[Path, str]:
-    """Resolved config + seed + version, hashed so outputs can cite it.
+def manifest(config: dict, out: Path, command: str) -> tuple[Path, str, str]:
+    """The path, text and sha256 of the manifest: resolved config + seed +
+    version, hashed so outputs can cite it.  A command writes the text last.
 
     The numpy version and the BLAS thread count are recorded too: the
     projection's last bits depend on both, so one hash means one arithmetic.
@@ -409,10 +417,7 @@ def write_manifest(config: dict, out: Path, command: str) -> tuple[Path, str]:
         "blas_threads": _blas_threads(),
     }
     text = yaml.safe_dump(payload, sort_keys=True)
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    path = out / f"manifest-{command}.yaml"
-    path.write_text(text, encoding="ascii")
-    return path, digest
+    return out / f"manifest-{command}.yaml", text, hashlib.sha256(text.encode()).hexdigest()
 
 
 def _write_stamped(path: Path, digest: str, lines) -> None:
@@ -483,7 +488,7 @@ def cmd_optimize(config: dict, s: Settings, resume_path: str | None = None) -> i
                 f"(differs in {', '.join(differ)})"
             )
     out = _output_dir(s)
-    manifest_path, digest = write_manifest(config, out, "optimize")
+    manifest_path, text, digest = manifest(config, out, "optimize")
     objective = _search_objective(s, score_on_test=False)
     checkpoint = out / "checkpoint.json"
     if swarm is not None:
@@ -506,6 +511,7 @@ def cmd_optimize(config: dict, s: Settings, resume_path: str | None = None) -> i
         sort_keys=True,
     )
     _write_stamped(best_path, digest, best_yaml.splitlines())
+    manifest_path.write_text(text, encoding="ascii")
     print(f"best fitness {swarm.gbest_fitness:.6f} after {swarm.evaluations} evaluations")
     print(f"wrote {trace_path}, {best_path}, {manifest_path}")
     return EXIT_OK
@@ -520,7 +526,7 @@ def cmd_train(config: dict, s: Settings) -> int:
     if s.model_path is not None:
         _directory(model_path.parent, "model_path's parent")
     out = _output_dir(s)
-    manifest_path, digest = write_manifest(config, out, "train")
+    manifest_path, text, digest = manifest(config, out, "train")
     train_ds, test_ds = _load_datasets(s)
 
     model = network.train(
@@ -546,6 +552,7 @@ def cmd_train(config: dict, s: Settings) -> int:
     }
     metrics_path = out / "metrics.json"
     metrics_path.write_text(json.dumps(metrics, indent=1), encoding="ascii")
+    manifest_path.write_text(text, encoding="ascii")
     print(f"test accuracy {accuracy:.4f} on {len(test_ds)} samples")
     print(f"wrote {model_path}, {metrics_path}, {manifest_path}")
     return EXIT_OK
@@ -553,19 +560,9 @@ def cmd_train(config: dict, s: Settings) -> int:
 
 def cmd_analyze(config: dict, s: Settings) -> int:
     out = _output_dir(s)
-    manifest_path, digest = write_manifest(config, out, "analyze")
+    manifest_path, text, digest = manifest(config, out, "analyze")
 
     bif_rows = analysis.bifurcation_sweep(s.sweep)
-    bif_path = out / "bifurcation.csv"
-    # long format; an overflowed value is one row with the failing iteration
-    bif_lines = []
-    for row in bif_rows:
-        if row.overflowed:
-            bif_lines.append([row.value, row.error_iteration, "nan"])
-        else:
-            bif_lines += ([row.value, i, y] for i, y in enumerate(row.iterates))
-    _write_csv(bif_path, digest, ["param", "iterate_index", "y"], bif_lines)
-
     accuracy_fn = None
     if s.with_accuracy:
         # the search's objective and failure policy, scored on the test set
@@ -575,13 +572,22 @@ def cmd_analyze(config: dict, s: Settings) -> int:
             return objective(rpso.position_from_params(map_params))
 
     table = analysis.entropy_accuracy_table(s.sweep, accuracy_fn)
+    pairs = analysis.poincare_pairs(s.poincare_params, s.poincare_count)
+
+    bif_path = out / "bifurcation.csv"
+    # long format; an overflowed value is one row with the failing iteration
+    bif_lines = []
+    for row in bif_rows:
+        if row.overflowed:
+            bif_lines.append([row.value, row.error_iteration, "nan"])
+        else:
+            bif_lines += ([row.value, i, y] for i, y in enumerate(row.iterates))
+    _write_csv(bif_path, digest, ["param", "iterate_index", "y"], bif_lines)
     table_path = out / "entropy_accuracy.csv"
     apen_keys = [(m, r) for m in analysis.TABLE_M_VALUES for r in analysis.TABLE_R_VALUES]
     header = ["param", *(f"apen_m{m}_r{r:g}" for m, r in apen_keys), "accuracy"]
     rows = ([row.value, *(row.apen[key] for key in apen_keys), row.accuracy] for row in table)
     _write_csv(table_path, digest, header, rows)
-
-    pairs = analysis.poincare_pairs(s.poincare_params, s.poincare_count)
     poincare_path = out / "poincare.csv"
     _write_csv(poincare_path, digest, ["x", "y"], pairs)
 
@@ -610,6 +616,7 @@ def cmd_analyze(config: dict, s: Settings) -> int:
             spearman_line,
         ],
     )
+    manifest_path.write_text(text, encoding="ascii")
     print(f"wrote {bif_path}, {table_path}, {poincare_path}, {summary_path}, {manifest_path}")
     print(spearman_line)
     return EXIT_OK
@@ -620,7 +627,7 @@ def cmd_report(config: dict, s: Settings) -> int:
     if model_path is None:
         raise ConfigError("report needs model_path (or --model)")
     out = _output_dir(s)
-    manifest_path, digest = write_manifest(config, out, "report")
+    manifest_path, text, digest = manifest(config, out, "report")
     try:
         model = network.load_model(model_path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -649,6 +656,7 @@ def cmd_report(config: dict, s: Settings) -> int:
         ]
     # the stamp goes into the file only; stdout shows the report itself
     _write_stamped(out / "footprint.txt", digest, lines[:-1])
+    manifest_path.write_text(text, encoding="ascii")
     print("\n".join(lines), end="")
     print(f"wrote {out / 'footprint.txt'}, CSVs, {manifest_path}")
     return EXIT_OK
@@ -656,7 +664,7 @@ def cmd_report(config: dict, s: Settings) -> int:
 
 def cmd_grid(config: dict, s: Settings) -> int:
     out = _output_dir(s)
-    manifest_path, digest = write_manifest(config, out, "grid")
+    manifest_path, text, digest = manifest(config, out, "grid")
     train_ds, test_ds = _load_datasets(s)
 
     rows: list[tuple[str, list[float]]] = []  # per architecture, one accuracy per method
@@ -691,6 +699,7 @@ def cmd_grid(config: dict, s: Settings) -> int:
               for arch, accuracies in rows),
         ],
     )
+    manifest_path.write_text(text, encoding="ascii")
     print(f"wrote {csv_path}, {md_path}, {manifest_path}")
     return EXIT_OK
 

@@ -125,3 +125,9 @@ def iterate_series(
     warm = params.preliminary_iterations
     ys = itertools.islice(orbit(params, x0, y0), warm, warm + count)
     return np.fromiter(ys, np.float64, count)
+
+
+__all__ = [
+    "CLAMP_LIMIT", "CLAMP_REPLACEMENT", "TRANSIENT_ITERATIONS", "MAP_PARAM_NAMES",
+    "MapOverflowError", "MapParams", "orbit", "iterate_series",
+]

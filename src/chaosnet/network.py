@@ -1,29 +1,24 @@
 """Trainable feedforward classifier on top of the fixed reservoir.
 
 Architectures are input:output or input:hidden:output with sigmoid hidden
-units and a softmax output trained by cross-entropy SGD.  Only these dense
-layers are trainable; the reservoir stage that produces the input features
-is fixed.  Bias terms are carried as an extra trailing weight column
-against a constant 1 appended to each layer input.
+units and a softmax output trained by cross-entropy SGD.  Training fits
+the per-neuron min/max of the fixed reservoir's pre-activations and these
+dense layers; :class:`NetworkModel` holds both.  Bias terms are carried as
+an extra trailing weight column against a constant 1 appended to each
+layer input.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from chaosnet.maps import MapParams
 from chaosnet.mnist import N_CLASSES
-from chaosnet.reservoir import (
-    INPUT_DIM,
-    FillMethod,
-    NotFittedError,
-    Reservoir,
-    ReservoirConfig,
-    sigmoid,
-)
+from chaosnet.reservoir import INPUT_DIM, FillMethod, Reservoir, ReservoirConfig, sigmoid
 
 DEFAULT_LEARNING_RATE = 0.1
 DEFAULT_BATCH_SIZE = 64
@@ -193,21 +188,40 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_epochs < 0:
             raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
-        if not self.learning_rate >= 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-class NetworkModel:
-    """Trained artifact: reservoir config + normalization stats + head weights."""
+def _squash(z: np.ndarray, z_min: np.ndarray, z_max: np.ndarray) -> np.ndarray:
+    """Rescale the pre-activations ``z`` in place to [0, 1] per neuron with
+    the fitted statistics, then apply the sigmoid; a neuron whose fitted span
+    is not positive maps to 0 (sigmoid 0.5)."""
+    span = z_max - z_min
+    live = span > 0
+    z -= z_min
+    z /= np.where(live, span, 1.0)
+    z[..., ~live] = 0.0
+    return sigmoid(z)
 
-    def __init__(self, reservoir: Reservoir, classifier: Classifier,
+
+class NetworkModel:
+    """Trained artifact: reservoir config + normalization stats (the P
+    training minima ``z_min`` and maxima ``z_max``) + head weights."""
+
+    def __init__(self, reservoir: Reservoir, z_min, z_max, classifier: Classifier,
                  training_meta: dict | None = None):
         if not isinstance(reservoir, Reservoir):
             raise TypeError("reservoir must be a Reservoir instance")
-        if classifier.config.reservoir_size != reservoir.config.reservoir_size:
+        p = reservoir.config.reservoir_size
+        if classifier.config.reservoir_size != p:
             raise ValueError("classifier and reservoir disagree on P")
+        self.z_min = np.asarray(z_min, dtype=np.float64)
+        self.z_max = np.asarray(z_max, dtype=np.float64)
+        shapes = self.z_min.shape, self.z_max.shape
+        if shapes != ((p,), (p,)):
+            raise ValueError(f"z_min and z_max need {p} values each, got shapes {shapes}")
         self.reservoir = reservoir
         self.classifier = classifier
         self.training_meta = dict(training_meta or {})
@@ -220,7 +234,7 @@ class NetworkModel:
         """Reservoir outputs for one 785-vector, (N, 785) rows or (N, 28, 28)
         uint8 images; materialized images are projected in chunks, never
         flattened as a whole (see :meth:`Reservoir.preactivation`)."""
-        return self.reservoir.transform(inputs, mode)
+        return _squash(self.reservoir.preactivation(inputs, mode), self.z_min, self.z_max)
 
     def predict(self, inputs: np.ndarray, mode: str = "materialized"):
         return self.classifier.predict(self.features(inputs, mode))
@@ -234,12 +248,12 @@ def train(
     train_config: TrainConfig = TrainConfig(),
     mode: str = "materialized",
 ) -> NetworkModel:
-    """Fit normalization stats, project the dataset, train the head by SGD.
+    """Project the dataset, fit normalization stats, train the head by SGD.
 
-    ``images`` are (N, 28, 28) uint8 grids.  They are projected once, by
-    :meth:`Reservoir.fit_transform`, and only the N x P features are held
-    in float.  Deterministic given ``train_config.rng_seed``: one generator
-    drives both weight init and batch shuffling.
+    ``images`` are (N, 28, 28) uint8 grids, projected once: the statistics
+    are read from the pre-activations, which are then squashed in place, so
+    only N x P floats are held.  Deterministic given ``train_config.rng_seed``:
+    one generator drives both weight init and batch shuffling.
     """
     labels = np.asarray(labels)
     if labels.size == 0:
@@ -247,7 +261,9 @@ def train(
     if reservoir_config.reservoir_size != architecture.reservoir_size:
         raise ValueError("reservoir config and architecture disagree on P")
     reservoir = Reservoir(reservoir_config)
-    features = reservoir.fit_transform(images, mode)
+    z = reservoir.preactivation(images, mode)
+    z_min, z_max = z.min(axis=0), z.max(axis=0)
+    features = _squash(z, z_min, z_max)
 
     rng = np.random.default_rng(train_config.rng_seed)
     classifier = Classifier(architecture, rng)
@@ -270,7 +286,7 @@ def train(
         "batch_size": train_config.batch_size,
         "rng_seed": train_config.rng_seed,
     }
-    return NetworkModel(reservoir, classifier, meta)
+    return NetworkModel(reservoir, z_min, z_max, classifier, meta)
 
 
 def evaluate(model: NetworkModel, images: np.ndarray, labels: np.ndarray,
@@ -302,8 +318,8 @@ def save_model(model: NetworkModel, path) -> None:
                 "a1": params.a1, "a2": params.a2, "a3": params.a3, "a4": params.a4,
                 "A": params.A, "B": params.B,
             },
-            "z_min": None if reservoir.z_min is None else reservoir.z_min.tolist(),
-            "z_max": None if reservoir.z_max is None else reservoir.z_max.tolist(),
+            "z_min": model.z_min.tolist(),
+            "z_max": model.z_max.tolist(),
         },
         "classifier": {
             "input_size": arch.reservoir_size,
@@ -320,7 +336,8 @@ def save_model(model: NetworkModel, path) -> None:
 def load_model(path) -> NetworkModel:
     """The model :func:`save_model` wrote, shaped by its architecture section
     alone; a ValueError refuses any other size in the file that disagrees
-    with that shape, with INPUT_DIM or with N_CLASSES."""
+    with that shape, with INPUT_DIM or with N_CLASSES, and statistics that
+    are not P numbers each."""
     with open(path, "r", encoding="ascii") as fh:
         payload = json.load(fh)
     version = payload.get("format_version")
@@ -348,12 +365,10 @@ def load_model(path) -> NetworkModel:
         params=MapParams(**res_payload["params"]),
         reservoir_size=arch.reservoir_size,
     )
-    reservoir = Reservoir(config)
-    if res_payload["z_min"] is not None:
-        reservoir.set_statistics(res_payload["z_min"], res_payload["z_max"])
     classifier = Classifier(arch, rng=0)
     classifier.weights = weights
-    return NetworkModel(reservoir, classifier, payload.get("training_meta"))
+    return NetworkModel(Reservoir(config), res_payload["z_min"], res_payload["z_max"],
+                        classifier, payload.get("training_meta"))
 
 
 __all__ = [
@@ -366,7 +381,6 @@ __all__ = [
     "save_model",
     "load_model",
     "log_softmax",
-    "NotFittedError",
     "TrainingDivergedError",
     "DEFAULT_LEARNING_RATE",
     "DEFAULT_BATCH_SIZE",

@@ -1,12 +1,12 @@
-"""Input-weight construction and the fixed reservoir transform.
+"""Input-weight construction and the fixed reservoir projection.
 
 A P x 785 weight matrix is generated from map orbits by one of six filling
 methods.  :func:`_fill_lines` is the one description of the fill order:
 constant-init methods run a single orbit across the rows in snake order
 (first row left to right, second right to left, alternating); sine-init
 methods seed one orbit per column from a sine profile and store the
-initial x in row 0 and one y-iterate per row below it.  The transform
-computes f(W @ Y) either from the materialized matrix or in streaming
+initial x in row 0 and one y-iterate per row below it.  A reservoir
+computes W @ Y either from the materialized matrix or in streaming
 mode, which reads the same fill stream and never stores the matrix: its
 working state is the six map scalars plus one accumulator per reservoir
 neuron.  Both consumers therefore see the same weights bit for bit.  A
@@ -19,16 +19,15 @@ stack: chunks of pixels are scaled into one reused buffer, (rows, 785) for
 the matrix product of materialized mode and (785, rows) for streaming.
 :func:`_write_inputs` writes the 785-slot layout for both buffers and for
 :func:`flatten_image` and :func:`flatten_images`.
-Constant-init methods with a warm-up start their orbit from a cached
-post-warm-up state, so only the first input streamed with given parameters
-runs the 10,000 discarded steps.  The sigmoid of the transform overwrites
-the pre-activations in place, in blocks of rows, so its temporaries stay a
-few MB whatever the number of rows.
+A :class:`Reservoir` holds no trained state, only what its config
+determines: its matrix, and the post-warm-up map state of methods 3 and 4,
+so only its first streamed input runs the 10,000 discarded steps.
+:func:`sigmoid` overwrites its input in place, in blocks of rows, so its
+temporaries stay a few MB whatever the number of rows.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import deque
@@ -45,11 +44,14 @@ SINE_INIT_Y0 = 0.51
 PROJECTION_CHUNK_ROWS = 4096  # most image rows scaled and multiplied at once
 STREAM_CHUNK_ROWS = 16384  # most image rows scaled and streamed at once
 SIGMOID_BLOCK_ELEMENTS = 1 << 19  # most values squashed at once: a 4 MB float temporary
-WARM_STATE_CACHE_SIZE = 256  # post-warm-up map states kept, least recently used dropped
 
 
-class NotFittedError(RuntimeError):
-    """Normalization statistics were requested before a fitting pass."""
+def valid_sine_b(b: float) -> bool:
+    """Whether sine initial conditions can use ``b``: they divide pi by B,
+    so B must not be 0 and pi / B must be finite (not so for |B| below
+    about 1.7e-308)."""
+    b = float(b)  # a numpy scalar would warn on the overflow, not return inf
+    return b != 0 and math.isfinite(math.pi / b)
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,10 @@ class ReservoirConfig:
     def __post_init__(self):
         if self.reservoir_size < 1:
             raise ValueError(f"reservoir_size must be >= 1, got {self.reservoir_size}")
-        if self.method.init_kind == "sine" and self.params.B == 0:
-            raise ValueError("sine initial conditions require B != 0")
+        if self.method.init_kind == "sine" and not valid_sine_b(self.params.B):
+            raise ValueError(
+                f"sine initial conditions require B != 0 and pi / B finite, got {self.params.B!r}"
+            )
 
     @property
     def effective_params(self) -> MapParams:
@@ -140,23 +144,17 @@ def flatten_images(images) -> np.ndarray:
     return _write_inputs(rows, np.empty((len(stack), INPUT_DIM)))
 
 
-@functools.lru_cache(maxsize=WARM_STATE_CACHE_SIZE)
-def _cached_warm_state(params: MapParams, key: str) -> tuple[float, float]:
-    x, y = float(params.A), float(params.B)
+def _warm_state(config: ReservoirConfig) -> tuple[float, float]:
+    """The map state (x, y) after the warm-up of ``config``'s method, from
+    (A, B): the start of a constant-init fill (sine-init fills ignore it).
+
+    Methods without a warm-up return (A, B) itself.  A warm-up that
+    overflows raises MapOverflowError at its step.
+    """
+    params = config.effective_params
+    x, y = params.A, params.B
     ys = itertools.islice(orbit(params, x, y), params.preliminary_iterations)
     return ((x, y) + tuple(deque(ys, maxlen=2)))[-2:]
-
-
-def _warm_state(params: MapParams) -> tuple[float, float]:
-    """The map state (x, y) after ``params.preliminary_iterations`` steps from
-    (A, B), computed once per parameters.
-
-    A warm-up that overflows raises each time, at the same step, since the
-    cache keeps no exception.  The key adds ``repr(params)`` because
-    MapParams compare 0.0 equal to -0.0, and an orbit of zeros carries the
-    sign of its initial condition into the weights.
-    """
-    return _cached_warm_state(params, repr(params))
 
 
 def _chunks(n: int, most: int) -> list[tuple[int, int]]:
@@ -168,7 +166,7 @@ def _chunks(n: int, most: int) -> list[tuple[int, int]]:
 
 
 def _fill_lines(
-    config: ReservoirConfig,
+    config: ReservoirConfig, warm: tuple[float, float]
 ) -> Iterator[tuple[int | slice, int | slice, Iterator[float]]]:
     """The weights of W in fill order, one line at a time.
 
@@ -176,18 +174,17 @@ def _fill_lines(
     and ``weights`` yields their values in the order of that index.  A
     constant-init line is one row of W, ``(p, slice, weights)``, its column
     slice running forwards on even rows and backwards on odd ones; one orbit
-    from (A, B) runs through all rows, resumed after the warm-up from
-    :func:`_warm_state`.  A sine-init line is one column of W,
-    ``(slice(None), i, weights)``: the column's initial x, computed when its
-    line is requested, then the first P - 1 iterates of its own orbit from
-    (x, 0.51).  Each line's weights must be consumed before the next line is
-    requested.
+    from (A, B) runs through all rows, resumed from ``warm``, the state
+    :func:`_warm_state` gives for ``config``.  A sine-init line is one
+    column of W, ``(slice(None), i, weights)``: the column's initial x,
+    computed when its line is requested, then the first P - 1 iterates of
+    its own orbit from (x, 0.51).  Each line's weights must be consumed
+    before the next line is requested.
     """
     params = config.effective_params
     p_rows = config.reservoir_size
     if config.method.init_kind == "constant":
-        x, y = _warm_state(params)
-        ys = orbit(params, x, y, first_step=params.preliminary_iterations + 1)
+        ys = orbit(params, *warm, first_step=params.preliminary_iterations + 1)
         for p in range(p_rows):
             yield p, slice(None, None, -1 if p % 2 else 1), itertools.islice(ys, INPUT_DIM)
     else:
@@ -200,13 +197,16 @@ def _fill_lines(
 def build_matrix(config: ReservoirConfig) -> np.ndarray:
     """Materialize the P x 785 weight matrix for ``config``."""
     w = np.empty((config.reservoir_size, INPUT_DIM), dtype=np.float64)
-    for rows, cols, weights in _fill_lines(config):
+    for rows, cols, weights in _fill_lines(config, _warm_state(config)):
         w[rows, cols] = np.fromiter(weights, np.float64)
     return w
 
 
-def _stream_preactivation(config: ReservoirConfig, columns: np.ndarray) -> np.ndarray:
-    """W @ Y without materializing W, reading the weights from :func:`_fill_lines`.
+def _stream_preactivation(
+    config: ReservoirConfig, warm: tuple[float, float], columns: np.ndarray
+) -> np.ndarray:
+    """W @ Y without materializing W, reading the weights from :func:`_fill_lines`
+    resumed from ``warm``.
 
     ``columns`` has shape (785, M); the return value is (P, M).  Only the map
     scalars, one scratch state and the P sums are held, so per input the
@@ -232,7 +232,7 @@ def _stream_preactivation(config: ReservoirConfig, columns: np.ndarray) -> np.nd
     with np.errstate(over="ignore", invalid="ignore"):
         if config.method.init_kind == "constant":
             # a line is one row of W: its weights meet the inputs in its column order
-            for p, cols, weights in _fill_lines(config):
+            for p, cols, weights in _fill_lines(config, warm):
                 acc_p = acc[p]
                 for y, col in zip(weights, columns[cols]):
                     acc_p += y * col
@@ -240,7 +240,7 @@ def _stream_preactivation(config: ReservoirConfig, columns: np.ndarray) -> np.nd
         else:
             # a line is one whole column of W, row 0 first: its weights scale one
             # input into every sum
-            for _, i, weights in _fill_lines(config):
+            for _, i, weights in _fill_lines(config, warm):
                 col = columns[i]
                 for r, y in enumerate(weights):
                     acc[r] += y * col
@@ -271,28 +271,26 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 class Reservoir:
-    """Fixed input transform S = f(W @ Y) with per-neuron normalization.
+    """The fixed projection W @ Y of its config, which nothing trains.
 
-    ``fit_transform`` gathers min/max statistics of the pre-activations over
-    a training set; ``transform`` then rescales each neuron to [0, 1] with
-    those statistics and applies a logistic sigmoid.  The statistics are
-    part of the trained model artifact.
+    The matrix (materialized mode) and the post-warm-up map state
+    (streaming mode) are computed on first use and kept.
     """
 
     def __init__(self, config: ReservoirConfig):
         self.config = config
         self._matrix: np.ndarray | None = None
-        self.z_min: np.ndarray | None = None
-        self.z_max: np.ndarray | None = None
-
-    @property
-    def fitted(self) -> bool:
-        return self.z_min is not None
+        self._warm_xy: tuple[float, float] | None = None
 
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             self._matrix = build_matrix(self.config)
         return self._matrix
+
+    def _warm(self) -> tuple[float, float]:
+        if self._warm_xy is None:
+            self._warm_xy = _warm_state(self.config)
+        return self._warm_xy
 
     def preactivation(
         self, inputs: np.ndarray, mode: Literal["materialized", "streaming"] = "materialized"
@@ -336,7 +334,8 @@ class Reservoir:
         if mode == "materialized":
             z = arr @ self.matrix().T
         else:
-            z = _stream_preactivation(self.config, np.ascontiguousarray(arr.T)).T
+            columns = np.ascontiguousarray(arr.T)
+            z = _stream_preactivation(self.config, self._warm(), columns).T
         return z[0] if single else z
 
     def _pixels(self, images: np.ndarray) -> np.ndarray:
@@ -365,50 +364,12 @@ class Reservoir:
         for start, stop in chunks:
             columns = buf[:, : stop - start]
             _write_inputs(pixels[start:stop], columns.T)
-            z_t[:, start:stop] = _stream_preactivation(self.config, columns)
+            z_t[:, start:stop] = _stream_preactivation(self.config, self._warm(), columns)
         return z_t.T
 
-    def fit_transform(
-        self, inputs: np.ndarray, mode: Literal["materialized", "streaming"] = "materialized"
-    ) -> np.ndarray:
-        """Gather per-neuron min/max over a training set and return its
-        :meth:`transform`, from one projection.
 
-        The pre-activations are computed once, give the min/max statistics,
-        and are normalized in place before the sigmoid, so a training set is
-        projected once instead of twice.
-        """
-        z = self.preactivation(inputs, mode)
-        rows = np.atleast_2d(z)
-        self.z_min = rows.min(axis=0)
-        self.z_max = rows.max(axis=0)
-        return self._squash(z)
-
-    def set_statistics(self, z_min: np.ndarray, z_max: np.ndarray) -> "Reservoir":
-        """Install previously fitted statistics (model deserialization)."""
-        z_min = np.asarray(z_min, dtype=np.float64)
-        z_max = np.asarray(z_max, dtype=np.float64)
-        if z_min.shape != (self.config.reservoir_size,) or z_max.shape != z_min.shape:
-            raise ValueError("statistics shape does not match reservoir size")
-        self.z_min = z_min
-        self.z_max = z_max
-        return self
-
-    def transform(
-        self, inputs: np.ndarray, mode: Literal["materialized", "streaming"] = "materialized"
-    ) -> np.ndarray:
-        """Normalized, sigmoid-squashed reservoir output for inputs as in
-        :meth:`preactivation`."""
-        if not self.fitted:
-            raise NotFittedError("reservoir normalization statistics are not fitted")
-        return self._squash(self.preactivation(inputs, mode))
-
-    def _squash(self, z: np.ndarray) -> np.ndarray:
-        """Rescale ``z`` in place to [0, 1] per neuron, then apply the sigmoid;
-        a neuron whose fitted span is not positive maps to 0 (sigmoid 0.5)."""
-        span = self.z_max - self.z_min
-        live = span > 0
-        z -= self.z_min
-        z /= np.where(live, span, 1.0)
-        z[..., ~live] = 0.0
-        return sigmoid(z)
+__all__ = [
+    "INPUT_DIM", "MODES", "SINE_INIT_Y0", "PROJECTION_CHUNK_ROWS", "STREAM_CHUNK_ROWS",
+    "SIGMOID_BLOCK_ELEMENTS", "FillMethod", "FILL_METHODS", "ReservoirConfig", "valid_sine_b",
+    "flatten_image", "flatten_images", "build_matrix", "sigmoid", "Reservoir",
+]

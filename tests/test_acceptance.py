@@ -350,7 +350,7 @@ def test_criterion_09_streaming_footprint_is_constant():
         )
         arch = Architecture(p)
         model = NetworkModel(
-            Reservoir(config), Classifier(arch, rng=0)
+            Reservoir(config), np.zeros(p), np.ones(p), Classifier(arch, rng=0)
         )
         counts[p] = footprint(model, mode="streaming").reservoir_parameter_count
     delta = map_parameter_delta()

@@ -153,6 +153,24 @@ def test_train_divergent_learning_rate_exit_5(synthetic_data_dir, tmp_path):
         assert run(*args) == EXIT_DIVERGENCE
 
 
+def files_of(out):
+    """Every file under ``out``, by relative path, with its bytes."""
+    return {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()}
+
+
+def test_failed_train_leaves_the_output_dir_as_it_was(synthetic_data_dir, tmp_path):
+    """A run computes first and writes after, its manifest last: a run that
+    overflows rewrites none of the files an earlier run left."""
+    out = tmp_path / "out"
+    args = train_smoke_args(synthetic_data_dir, out)
+    assert run(*args, "--set", "method=6") == EXIT_OK
+    before = files_of(out)
+    assert {"model.json", "metrics.json", "manifest-train.yaml"} <= set(before)
+    args[args.index("params.a1=0.9")] = "params.a1=2.0"
+    assert run(*args, "--set", "method=4") == EXIT_OVERFLOW
+    assert files_of(out) == before
+
+
 # ---------------------------------------------------------------- report
 
 
@@ -250,6 +268,19 @@ def test_report_of_a_model_of_another_shape_exits_3(
     bad.write_text(json.dumps(payload))
     code = run("report", "--model", str(bad), "--output-dir", str(tmp_path / "o"))
     assert code == EXIT_DATA
+
+
+@pytest.mark.parametrize("key", ["z_min", "z_max"])
+def test_report_of_a_model_without_statistics_exits_3(trained_model_path, tmp_path, key):
+    """A trained model always has its statistics; a file with a null in
+    their place is a bad file (report exited 0 on a null z_min)."""
+    payload = json.loads(trained_model_path.read_text())
+    payload["reservoir"][key] = None
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    assert run("report", "--model", str(bad), "--output-dir", str(out)) == EXIT_DATA
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------- optimize
@@ -502,6 +533,18 @@ def analyze_accuracy_args(synthetic_data_dir, out_dir, *extra):
         "--set", "sweep.hi=1.0",
         *extra,
     ]
+
+
+def test_analyze_without_its_data_leaves_the_output_dir_as_it_was(tmp_path):
+    """The accuracy column needs data; an analyze that cannot read it exits
+    3 before it writes its tables or its manifest."""
+    out = tmp_path / "ana"
+    assert run(*analyze_smoke_args(out)) == EXIT_OK
+    before = files_of(out)
+    empty = tmp_path / "nothing"
+    empty.mkdir()
+    assert run(*analyze_accuracy_args(empty, out)) == EXIT_DATA
+    assert files_of(out) == before
 
 
 def test_analyze_constant_accuracy_column_computes_no_spearman(synthetic_data_dir, tmp_path):
@@ -889,6 +932,29 @@ def test_bad_swarm_size_exits_2(synthetic_data_dir, tmp_path):
             ["method=1", "sweep.parameter=B", "sweep.lo=-0.5", "sweep.hi=0.5", "sweep.step=0.5"],
             id="analyze-method=1-B-sweep-holds-0",
         ),
+        # a B so near 0 that pi / B is infinite: analyze exited 1 with a math
+        # domain error after writing files, train 4 as a map overflow, and
+        # the search box and the sweep grid were accepted
+        pytest.param(
+            "analyze", ["method=1", "params.B=1e-310", "sweep.series_length=300"],
+            id="analyze-method=1-params.B=1e-310",
+        ),
+        pytest.param(
+            "train", ["method=1", "params.B=1e-310", "sweep.series_length=300"],
+            id="train-method=1-params.B=1e-310",
+        ),
+        pytest.param(
+            "optimize", ["method=1", "optimize.lower=[0.01, 1e-310, 0, 0, 0, 0]"],
+            id="optimize-method=1-B-interval-reaches-1e-310",
+        ),
+        pytest.param(
+            "analyze",
+            ["method=1", "sweep.parameter=B", "sweep.lo=1e-310", "sweep.hi=0.5", "sweep.step=0.1"],
+            id="analyze-method=1-B-sweep-holds-1e-310",
+        ),
+        # each wrote its manifest, then exited 5
+        ("train", "train.learning_rate=.inf"),
+        ("train", "train.learning_rate=1e400"),
     ],
 )
 def test_bad_value_under_valid_key_exits_2_before_reading_data(

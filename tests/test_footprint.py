@@ -20,7 +20,8 @@ def model_with_reservoir_size(p):
     config = ReservoirConfig(
         method=FillMethod.from_id(6), params=STABLE_PARAMS, reservoir_size=p
     )
-    return NetworkModel(Reservoir(config), Classifier(Architecture(p), rng=0))
+    classifier = Classifier(Architecture(p), rng=0)
+    return NetworkModel(Reservoir(config), np.zeros(p), np.ones(p), classifier)
 
 
 def test_streaming_footprint_counts_only_map_parameters():
@@ -49,7 +50,8 @@ def test_hidden_layer_expands_classifier_count():
     config = ReservoirConfig(
         method=FillMethod.from_id(6), params=STABLE_PARAMS, reservoir_size=100
     )
-    model = NetworkModel(Reservoir(config), Classifier(Architecture(100, 60), rng=0))
+    model = NetworkModel(Reservoir(config), np.zeros(100), np.ones(100),
+                         Classifier(Architecture(100, 60), rng=0))
     report = footprint(model)
     assert report.classifier_weight_count == 60 * 101 + 10 * 61
     # 6 map scalars, 2 x 100 statistics and the 6,720 head weights
@@ -77,10 +79,10 @@ def test_streaming_one_input_peaks_under_16_kib_at_p_200(method_id):
     import tracemalloc
 
     config = ReservoirConfig(FillMethod.from_id(method_id), STABLE_PARAMS, reservoir_size=200)
-    reservoir = Reservoir(config).set_statistics(np.zeros(200), np.ones(200))
-    model = NetworkModel(reservoir, Classifier(Architecture(200), rng=0))
+    model = NetworkModel(Reservoir(config), np.zeros(200), np.ones(200),
+                         Classifier(Architecture(200), rng=0))
     x = np.random.default_rng(method_id).random(INPUT_DIM)
-    expected = model.predict(x, "streaming")  # warm: the cached post-warm-up state
+    expected = model.predict(x, "streaming")  # warm: the reservoir keeps its post-warm-up state
     tracemalloc.start()
     try:
         got = model.predict(x, "streaming")

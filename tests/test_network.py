@@ -305,8 +305,9 @@ def test_architecture_validation():
 def test_model_refuses_a_classifier_of_another_p():
     config = ReservoirConfig(FillMethod.from_id(6), STABLE_PARAMS, reservoir_size=5)
     with pytest.raises(ValueError):
-        NetworkModel(Reservoir(config), Classifier(Architecture(6), rng=0))
-    model = NetworkModel(Reservoir(config), Classifier(Architecture(5, 3), rng=0))
+        NetworkModel(Reservoir(config), np.zeros(5), np.ones(5), Classifier(Architecture(6), rng=0))
+    model = NetworkModel(Reservoir(config), np.zeros(5), np.ones(5),
+                         Classifier(Architecture(5, 3), rng=0))
     assert model.architecture == Architecture(5, 3)
 
 
@@ -370,6 +371,21 @@ def test_load_model_refuses_a_shape_its_architecture_does_not_have(
     payload[section][key] = value
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=f"{section}.{key}"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key", ["z_min", "z_max"])
+@pytest.mark.parametrize("length", [None, 4, 6])
+def test_load_model_refuses_statistics_that_are_not_p_numbers(
+    tmp_path, tiny_trained_model, key, length
+):
+    """Every model is trained, so its file holds P values of each statistic;
+    a null (once written for an unfitted reservoir) or a list of another
+    length is a bad file."""
+    path, payload = _saved_payload(tiny_trained_model, tmp_path)
+    payload["reservoir"][key] = None if length is None else [0.5] * length
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="z_min and z_max need 5 values each"):
         load_model(path)
 
 

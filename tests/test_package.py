@@ -7,9 +7,8 @@ from pathlib import Path
 
 import pytest
 
-MODULES_WITH_ALL = ["chaosnet"] + [
-    f"chaosnet.{name}" for name in ("analysis", "footprint", "mnist", "network", "rpso")
-]
+PRODUCT_MODULES = ("analysis", "footprint", "maps", "mnist", "network", "reservoir", "rpso")
+MODULES_WITH_ALL = ["chaosnet"] + [f"chaosnet.{name}" for name in PRODUCT_MODULES]
 
 
 @pytest.mark.parametrize("module_name", MODULES_WITH_ALL)
@@ -21,7 +20,6 @@ def test_every_name_in_all_resolves(module_name):
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "chaosnet"
-PRODUCT_MODULES = ("analysis", "footprint", "mnist", "network", "rpso")
 # public names no product code calls, each with the reason it stays public
 KEPT_WITHOUT_PRODUCT_USE = {
     "footprint.map_parameter_delta": "the paper's comparison with the logistic-map "

@@ -1,5 +1,5 @@
 """Weight-matrix construction, the streaming evaluation path, and the
-fitted min-max + sigmoid feature transform."""
+min-max + sigmoid feature transform with the statistics a model fits."""
 
 import math
 
@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chaosnet import reservoir
+from chaosnet import network, reservoir
 from chaosnet.maps import MapOverflowError, MapParams, iterate_series
+from chaosnet.network import Architecture, Classifier, NetworkModel, TrainConfig, train
 from chaosnet.reservoir import (
     FILL_METHODS,
     INPUT_DIM,
@@ -17,7 +18,6 @@ from chaosnet.reservoir import (
     SINE_INIT_Y0,
     STREAM_CHUNK_ROWS,
     FillMethod,
-    NotFittedError,
     Reservoir,
     ReservoirConfig,
     build_matrix,
@@ -331,48 +331,56 @@ def test_image_projection_rejects_bad_shapes(reservoir_config):
         )
 
 
-@pytest.mark.parametrize("mode", ["materialized", "streaming"])
-def test_fit_transform_equals_fit_then_transform(reservoir_config, mode):
-    images = np.random.default_rng(11).integers(0, 256, size=(7, 28, 28), dtype=np.uint8)
-    config = reservoir_config(method_id=3, reservoir_size=6)
-    once = Reservoir(config)
-    features = once.fit_transform(images, mode)
-    assert features.tobytes() == once.transform(images, mode).tobytes()
-    rows = flatten_images(images)
-    twice = Reservoir(config)
-    twice.fit_transform(rows, mode)
-    assert features.tobytes() == twice.transform(rows, mode).tobytes()
-    assert once.z_min.tobytes() == twice.z_min.tobytes()
-    assert once.z_max.tobytes() == twice.z_max.tobytes()
-
-
 # ---------------------------------------------------------------- transform
 
 
-def test_transform_requires_fit(reservoir_config):
-    res = Reservoir(reservoir_config(reservoir_size=4))
-    assert not res.fitted
-    with pytest.raises(NotFittedError):
-        res.transform(np.zeros(INPUT_DIM))
+def _fitted(config, inputs, mode="materialized"):
+    """The model ``train`` fits on ``inputs``, with no SGD epoch."""
+    labels = np.zeros(len(inputs), dtype=np.uint8)
+    arch = Architecture(config.reservoir_size)
+    return train(inputs, labels, arch, config, TrainConfig(max_epochs=0), mode)
+
+
+def _model(config, z_min, z_max):
+    arch = Architecture(config.reservoir_size)
+    return NetworkModel(Reservoir(config), z_min, z_max, Classifier(arch, rng=0))
+
+
+@pytest.mark.parametrize("mode", ["materialized", "streaming"])
+def test_predict_time_features_equal_training_features(reservoir_config, monkeypatch, mode):
+    """One projection gives the statistics and the features SGD trains on;
+    the model gives the same features again, bit for bit, for the images and
+    for their flattened rows."""
+    images = np.random.default_rng(11).integers(0, 256, size=(7, 28, 28), dtype=np.uint8)
+    config = reservoir_config(method_id=3, reservoir_size=6)
+    seen = []
+    sgd = Classifier.train_sgd
+    monkeypatch.setattr(Classifier, "train_sgd",
+                        lambda self, x, y, **kw: seen.append(x.copy()) or sgd(self, x, y, **kw))
+    model = _fitted(config, images, mode)
+    rows = flatten_images(images)
+    from_rows = _fitted(config, rows, mode)
+    assert seen[0].tobytes() == seen[1].tobytes()
+    assert model.features(images, mode).tobytes() == seen[0].tobytes()
+    assert model.features(rows, mode).tobytes() == seen[0].tobytes()
+    assert model.z_min.tobytes() == from_rows.z_min.tobytes()
+    assert model.z_max.tobytes() == from_rows.z_max.tobytes()
 
 
 def test_transform_is_minmax_then_sigmoid(reservoir_config):
-    res = Reservoir(reservoir_config(reservoir_size=4))
+    config = reservoir_config(reservoir_size=4)
     rng = np.random.default_rng(8)
     rows = rng.random((20, INPUT_DIM))
-    res.fit_transform(rows)
-    assert res.fitted
-    z = res.preactivation(rows)
+    model = _fitted(config, rows)
+    z = Reservoir(config).preactivation(rows)
     u = (z - z.min(axis=0)) / (z.max(axis=0) - z.min(axis=0))
-    assert np.allclose(res.transform(rows), sigmoid(u), atol=1e-15)
+    assert np.allclose(model.features(rows), sigmoid(u), atol=1e-15)
 
 
 def test_transform_training_extremes_hit_unit_interval(reservoir_config):
-    res = Reservoir(reservoir_config(reservoir_size=3))
     rng = np.random.default_rng(9)
     rows = rng.random((10, INPUT_DIM))
-    res.fit_transform(rows)
-    features = res.transform(rows)
+    features = _fitted(reservoir_config(reservoir_size=3), rows).features(rows)
     low, high = sigmoid(np.array([0.0, 1.0]))
     assert features.min() >= low - 1e-15
     assert features.max() <= high + 1e-15
@@ -380,25 +388,27 @@ def test_transform_training_extremes_hit_unit_interval(reservoir_config):
 
 
 def test_transform_degenerate_span_maps_to_half(reservoir_config):
-    res = Reservoir(reservoir_config(reservoir_size=3))
-    res.set_statistics(np.zeros(3), np.zeros(3))
-    out = res.transform(np.ones(INPUT_DIM))
+    model = _model(reservoir_config(reservoir_size=3), np.zeros(3), np.zeros(3))
+    out = model.features(np.ones(INPUT_DIM))
     assert np.all(out == 0.5)
 
 
-def test_set_statistics_validates_shape(reservoir_config):
-    res = Reservoir(reservoir_config(reservoir_size=3))
-    with pytest.raises(ValueError):
-        res.set_statistics(np.zeros(2), np.zeros(3))
+@pytest.mark.parametrize(
+    "z_min, z_max",
+    [(np.zeros(2), np.zeros(3)), (np.zeros(3), np.zeros(4)), (None, np.zeros(3))],
+    ids=["short-z_min", "long-z_max", "null-z_min"],
+)
+def test_model_checks_the_shape_of_its_statistics(reservoir_config, z_min, z_max):
+    with pytest.raises(ValueError, match="z_min and z_max need 3 values each"):
+        _model(reservoir_config(reservoir_size=3), z_min, z_max)
 
 
 def test_transform_streaming_equals_materialized(reservoir_config):
-    res = Reservoir(reservoir_config(method_id=3, reservoir_size=6))
     rng = np.random.default_rng(10)
     rows = rng.random((30, INPUT_DIM))
-    res.fit_transform(rows)
-    a = res.transform(rows, mode="materialized")
-    b = res.transform(rows, mode="streaming")
+    model = _fitted(reservoir_config(method_id=3, reservoir_size=6), rows)
+    a = model.features(rows, mode="materialized")
+    b = model.features(rows, mode="streaming")
     assert np.max(np.abs(a - b)) <= 1e-12
 
 
@@ -432,19 +442,18 @@ def test_sigmoid_in_blocks_is_the_formula_bit_for_bit(monkeypatch, layout):
     assert out.tobytes() == expected.tobytes()
 
 
-def test_squash_of_60k_by_100_peaks_under_8_mb_above_its_input(reservoir_config):
+def test_squash_of_60k_by_100_peaks_under_8_mb_above_its_input():
     """The sigmoid overwrites the pre-activations in place, a block at a time:
     one boolean mask and one float temporary of a block (about 5 MB) on top
     of the 48 MB input."""
     import tracemalloc
 
-    res = Reservoir(reservoir_config(reservoir_size=100))
-    res.set_statistics(np.full(100, 0.5), np.full(100, 1.5))  # both signs reach the sigmoid
+    z_min, z_max = np.full(100, 0.5), np.full(100, 1.5)  # both signs reach the sigmoid
     z = np.random.default_rng(13).normal(size=(60_000, 100))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        res._squash(z)
+        network._squash(z, z_min, z_max)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -601,21 +610,29 @@ def test_overflow_is_counted_from_the_initial_condition_by_every_path(position, 
         assert _streamed_or_overflow(compute) == iteration
 
 
-def test_warm_up_runs_once_per_parameters(reservoir_config):
-    res = Reservoir(reservoir_config(method_id=4, reservoir_size=3))
+def test_warm_up_runs_once_per_reservoir(reservoir_config, monkeypatch):
+    """A reservoir keeps its post-warm-up state: three streamed inputs, one
+    alone, one in a batch of rows and one as an image, run the 10,000
+    warm-up steps once, and a second reservoir runs them once more."""
+    warm_ups = []
+    warm_state = reservoir._warm_state
+    monkeypatch.setattr(reservoir, "_warm_state", lambda c: warm_ups.append(c) or warm_state(c))
+    config = reservoir_config(method_id=4, reservoir_size=3)
+    res = Reservoir(config)
     rows = np.random.default_rng(15).random((2, INPUT_DIM))
-    reservoir._cached_warm_state.cache_clear()
+    image = np.random.default_rng(15).integers(0, 256, size=(1, 28, 28), dtype=np.uint8)
     first = res.preactivation(rows[0], "streaming")
-    again = res.preactivation(rows[0], "streaming")
-    res.preactivation(rows[1], "streaming")
-    info = reservoir._cached_warm_state.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    res.preactivation(rows, "streaming")
+    res.preactivation(image, "streaming")
+    assert len(warm_ups) == 1
+    again = Reservoir(config).preactivation(rows[0], "streaming")
+    assert len(warm_ups) == 2
     assert first.tobytes() == again.tobytes()
 
 
 def test_warm_state_tells_signed_zeros_apart():
     """MapParams compare 0.0 equal to -0.0, but an orbit of zeros keeps the
-    sign of its start, so each sign gets its own cached state."""
+    sign of its start into the weights."""
     params = MapParams(-1.0, -1.0, 0.0, 0.0, -0.0, -0.0)
     for p in (params, params.replace(A=0.0, B=0.0), params):
         config = ReservoirConfig(FillMethod.from_id(4), p, 2)
