@@ -10,10 +10,11 @@ Configuration is a single YAML tree; any leaf can be overridden from the
 command line with ``--set dotted.path=value``.  :func:`settings` converts
 the whole tree once, before any command runs, so a bad value under any key
 exits 2 before a file is written or data is read.  Every command computes
-first and writes after, so a run that fails in its computation leaves the
-files of its output directory as they were, but for ``optimize``'s
-per-iteration checkpoint, which ``--resume`` reads.  A run that succeeds
-writes, last, a manifest with the fully resolved configuration and seed.
+first and writes after, creating a missing output directory only then, so a
+run that fails in its computation leaves its output directory as it was, but
+for ``optimize``'s per-iteration checkpoint, which ``--resume`` reads.  A run
+that succeeds writes, last, a manifest with the fully resolved configuration
+and seed.
 Every table a command emits goes through :func:`_write_csv`, whose first
 line cites the artifact version and the manifest hash; the library
 modules write no tables.
@@ -43,7 +44,6 @@ from chaosnet.maps import MAP_PARAM_NAMES, MapOverflowError, MapParams
 from chaosnet.mnist import N_CLASSES, IdxFormatError, SplitPlan, split_indices
 from chaosnet.network import Architecture, TrainConfig, TrainingDivergedError
 from chaosnet.reservoir import MODES, FillMethod, ReservoirConfig, valid_sine_b
-from chaosnet.rpso import OptimizationError
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -375,12 +375,14 @@ def settings(config: dict) -> Settings:
 
 
 def _directory(path: Path, key: str) -> Path:
-    """``path``, created with its parents if missing; exit 2 if it is a file
-    or lies under one."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise ConfigError(f"{key} {path} is not a directory") from exc
+    """``path``, checked but not created: exit 2 if it, or the nearest of its
+    ancestors that exists, is a file.  A command creates it with its parents
+    when it writes its first file, so a run that fails before leaves none."""
+    existing = path
+    while not existing.exists() and existing != existing.parent:
+        existing = existing.parent
+    if not existing.is_dir():
+        raise ConfigError(f"{key} {path} is not a directory")
     return path
 
 
@@ -490,6 +492,7 @@ def cmd_optimize(config: dict, s: Settings, resume_path: str | None = None) -> i
     out = _output_dir(s)
     manifest_path, text, digest = manifest(config, out, "optimize")
     objective = _search_objective(s, score_on_test=False)
+    out.mkdir(parents=True, exist_ok=True)
     checkpoint = out / "checkpoint.json"
     if swarm is not None:
         swarm = rpso.resume(objective, swarm, checkpoint_path=checkpoint)
@@ -519,7 +522,7 @@ def cmd_optimize(config: dict, s: Settings, resume_path: str | None = None) -> i
 
 def cmd_train(config: dict, s: Settings) -> int:
     # the model's place is checked before anything is written or trained; a
-    # missing parent is created, as output_dir is, which is the default parent
+    # missing parent is created with the model, as output_dir is
     model_path = s.model_path or s.output_dir / "model.json"
     if model_path.is_dir():
         raise ConfigError(f"model_path {model_path} is a directory")
@@ -539,6 +542,8 @@ def cmd_train(config: dict, s: Settings) -> int:
     accuracy = int(np.trace(confusion)) / len(test_ds)
 
     model.training_meta["manifest_sha256"] = digest  # the model cites its run, as metrics do
+    for directory in (out, model_path.parent):
+        directory.mkdir(parents=True, exist_ok=True)
     network.save_model(model, model_path)
     metrics = {
         "architecture": s.architecture.describe(),
@@ -574,6 +579,7 @@ def cmd_analyze(config: dict, s: Settings) -> int:
     table = analysis.entropy_accuracy_table(s.sweep, accuracy_fn)
     pairs = analysis.poincare_pairs(s.poincare_params, s.poincare_count)
 
+    out.mkdir(parents=True, exist_ok=True)
     bif_path = out / "bifurcation.csv"
     # long format; an overflowed value is one row with the failing iteration
     bif_lines = []
@@ -632,6 +638,7 @@ def cmd_report(config: dict, s: Settings) -> int:
         model = network.load_model(model_path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise IdxFormatError(f"cannot read model file {model_path}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     lines = []
     for mode in ("streaming", "materialized"):
         report = footprint.footprint(model, mode, s.bytes_per_value)
@@ -671,15 +678,17 @@ def cmd_grid(config: dict, s: Settings) -> int:
     for architecture, reservoir_configs in s.grid:
         accuracies = []
         for reservoir_config in reservoir_configs:
-            model = network.train(
-                train_ds.images, train_ds.labels, architecture, reservoir_config,
-                s.train, mode=s.mode,
+            # the search's objective and failure policy, scored on the test set
+            objective = rpso.make_accuracy_objective(
+                reservoir_config.method, architecture, train_ds.images, train_ds.labels,
+                test_ds.images, test_ds.labels, s.train, mode=s.mode,
             )
-            accuracy = network.evaluate(model, test_ds.images, test_ds.labels, mode=s.mode)
+            accuracy = objective(rpso.position_from_params(reservoir_config.params))
             accuracies.append(accuracy)
             print(f"{architecture.describe()} method {reservoir_config.method.id}: {accuracy:.4f}")
         rows.append((architecture.describe(), accuracies))
 
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "grid.csv"
     cells = [
         [arch, method.id, accuracy]
@@ -757,7 +766,7 @@ def main(argv=None) -> int:
     except MapOverflowError as exc:
         print(f"map overflow: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
-    except (TrainingDivergedError, OptimizationError) as exc:
+    except TrainingDivergedError as exc:
         print(f"training failure: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
 

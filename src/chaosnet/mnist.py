@@ -163,6 +163,12 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
             f"{labels_path}: {labels.shape[0]} labels for {images.shape[0]} images "
             f"in {images_path}"
         )
+    bad = np.flatnonzero(labels >= N_CLASSES)
+    if bad.size:
+        # the label data starts after the 8-byte header
+        raise IdxFormatError(
+            f"{labels_path}: label {labels[bad[0]]} at offset {8 + bad[0]} is not a digit 0-9"
+        )
     return LabeledDataset(images, labels)
 
 

@@ -13,10 +13,14 @@ best.  The particle holding the global best is never replaced, so the best
 fitness trace is monotone by construction.  Immigrants are first evaluated
 when the next iteration moves them.
 
+The objective scores failed positions itself; an exception from it, or a
+value that is not finite, is a fault and stops the run.
+
 The module also fixes the six-dimensional search box used to tune the
 weight-generation map, coordinate order (A, B, a1, a2, a3, a4), and builds
-the accuracy objective for that search: train on the optimization subset,
-score on the full training base, failed training scores 0.
+the accuracy objective for that search, the one place a map position is
+trained and scored: a position whose map overflows or whose training
+diverges scores 0.0.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,11 +42,8 @@ from chaosnet.reservoir import ReservoirConfig
 MAP_LOWER_BOUNDS = np.array([0.01, 0.1, 0.0, 0.0, 0.0, 0.0])
 MAP_UPPER_BOUNDS = np.array([1.5, 10.0, 1.5, 1.5, 1.5, 1.5])
 
+# the personal best of a particle not scored yet: initial and immigrant ones
 FAILED_FITNESS = -math.inf
-
-
-class OptimizationError(RuntimeError):
-    """Raised when every particle of the initial round fails to evaluate."""
 
 
 def params_from_position(position: Sequence[float]) -> MapParams:
@@ -88,19 +89,10 @@ class SwarmConfig:
             raise ValueError(f"immigrant_fraction must be in [0, 1], got {self.immigrant_fraction}")
 
     def as_dict(self) -> dict:
-        """Plain JSON-ready form; the checkpoint stores it and ``SwarmConfig(**d)``
-        rebuilds the config."""
-        return {
-            "lower": self.lower.tolist(),
-            "upper": self.upper.tolist(),
-            "particle_count": self.particle_count,
-            "iterations": self.iterations,
-            "omega": self.omega,
-            "c1": self.c1,
-            "c2": self.c2,
-            "immigrant_fraction": self.immigrant_fraction,
-            "rng_seed": self.rng_seed,
-        }
+        """Plain JSON-ready form, one key per field in field order; the
+        checkpoint stores it and ``SwarmConfig(**d)`` rebuilds the config."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
     @property
     def dimensions(self) -> int:
@@ -146,22 +138,15 @@ class Swarm:
         )
 
 
-def _evaluate(objective: Callable[[np.ndarray], float], position: np.ndarray) -> float:
-    """Objective value, demoted to the failure fitness on map overflow,
-    training divergence or a non-finite value.  Any other exception is a
-    fault in the objective, not a failed particle, and propagates."""
-    try:
-        value = float(objective(position))
-    except (MapOverflowError, TrainingDivergedError):
-        return FAILED_FITNESS
-    return value if math.isfinite(value) else FAILED_FITNESS
-
-
 def _score(swarm: Swarm, objective: Callable[[np.ndarray], float]) -> None:
     """Evaluate every particle where it stands, then refresh the personal and
-    global bests."""
+    global bests.  A value that is not a finite number raises ValueError."""
     n = swarm.config.particle_count
-    fitness = np.array([_evaluate(objective, swarm.positions[i]) for i in range(n)])
+    fitness = np.empty(n)
+    for i in range(n):
+        fitness[i] = float(objective(swarm.positions[i]))
+        if not math.isfinite(fitness[i]):
+            raise ValueError(f"the objective returned {fitness[i]} at {swarm.positions[i]}")
     swarm.evaluations += n
     improved = fitness > swarm.pbest_fitness
     swarm.pbest_positions[improved] = swarm.positions[improved]
@@ -179,7 +164,7 @@ def init_swarm(objective: Callable[[np.ndarray], float], config: SwarmConfig) ->
     rng = np.random.default_rng(config.rng_seed)
     n, d = config.particle_count, config.dimensions
     positions = rng.uniform(config.lower, config.upper, size=(n, d))
-    # every best starts failed, so scoring the first round sets them
+    # every best starts unscored, so scoring the first round sets them
     swarm = Swarm(
         config=config,
         rng=rng,
@@ -192,8 +177,6 @@ def init_swarm(objective: Callable[[np.ndarray], float], config: SwarmConfig) ->
         gbest_index=0,
     )
     _score(swarm, objective)
-    if swarm.gbest_fitness == FAILED_FITNESS:
-        raise OptimizationError("every particle of the initial round failed to evaluate")
     swarm.trace.append(swarm.record(0.0))
     return swarm
 
@@ -329,12 +312,14 @@ def save_checkpoint(swarm: Swarm, path) -> None:
 
 
 def load_checkpoint(path) -> Swarm:
+    """The swarm a checkpoint holds.  A payload that does not fit its own
+    config raises ValueError, so a resumed run cannot go on from it."""
     with open(path, "r", encoding="ascii") as fh:
         payload = json.load(fh)
     config = SwarmConfig(**payload["config"])
     rng = np.random.default_rng()
     rng.bit_generator.state = payload["rng_state"]
-    return Swarm(
+    swarm = Swarm(
         config=config,
         rng=rng,
         positions=np.asarray(payload["positions"], dtype=np.float64),
@@ -357,6 +342,35 @@ def load_checkpoint(path) -> Swarm:
         ],
         immigrant_counts=[int(k) for k in payload["immigrant_counts"]],
     )
+    _check_state(swarm)
+    return swarm
+
+
+def _check_state(swarm: Swarm) -> None:
+    """Raise ValueError unless ``swarm`` is a state its own config can reach:
+    arrays of (n, d), (n,) or (d,), a best index among the particles, and a
+    history as long as its iteration."""
+    config, k = swarm.config, swarm.iteration
+    n, d = config.particle_count, config.dimensions
+    shapes = [(name, getattr(swarm, name).shape, (n, d))
+              for name in ("positions", "velocities", "pbest_positions")]
+    shapes += [("pbest_fitness", swarm.pbest_fitness.shape, (n,)),
+               ("gbest_position", swarm.gbest_position.shape, (d,))]
+    shapes += [(f"trace[{i}].position", rec.position.shape, (d,))
+               for i, rec in enumerate(swarm.trace)]
+    for name, shape, wanted in shapes:
+        if shape != wanted:
+            raise ValueError(f"{name} has shape {shape}, the config needs {wanted}")
+    if not 0 <= swarm.gbest_index < n:
+        raise ValueError(f"gbest_index {swarm.gbest_index} is not one of the {n} particles")
+    if not 0 <= k <= config.iterations:
+        raise ValueError(f"iteration {k} is outside [0, {config.iterations}]")
+    found = (len(swarm.trace), len(swarm.immigrant_counts), swarm.evaluations)
+    if found != (k + 1, k, n * (k + 1)):
+        raise ValueError(
+            f"at iteration {k} the trace, immigrant counts and evaluations must "
+            f"number {k + 1}, {k} and {n * (k + 1)}, found {found}"
+        )
 
 
 def make_accuracy_objective(
@@ -402,7 +416,6 @@ __all__ = [
     "SwarmConfig",
     "Swarm",
     "FitnessRecord",
-    "OptimizationError",
     "init_swarm",
     "pso_step",
     "immigrate",

@@ -3,6 +3,7 @@ plus the exit-code contract."""
 
 import copy
 import dataclasses
+import gzip
 import hashlib
 import inspect
 import json
@@ -171,6 +172,44 @@ def test_failed_train_leaves_the_output_dir_as_it_was(synthetic_data_dir, tmp_pa
     assert files_of(out) == before
 
 
+@pytest.mark.parametrize("command", ["train", "optimize", "grid", "analyze", "report"])
+def test_a_failed_run_leaves_no_output_dir(tmp_path, command):
+    """A missing output directory is created when the first file is written,
+    so a run that fails on its input leaves no empty directory behind."""
+    empty = tmp_path / "nothing"
+    empty.mkdir()
+    out = tmp_path / "new" / "out"
+    if command == "train":
+        args = train_smoke_args(empty, out)
+    elif command == "optimize":
+        args = optimize_smoke_args(empty, out)
+    elif command == "grid":
+        args = grid_smoke_args(empty, out)
+    elif command == "analyze":
+        args = analyze_accuracy_args(empty, out)
+    else:
+        model = tmp_path / "model.json"
+        model.write_text("{}")
+        args = ["report", "--model", str(model), "--output-dir", str(out)]
+    assert run(*args) == EXIT_DATA
+    assert not (tmp_path / "new").exists()
+
+
+def test_a_label_above_9_exits_3(synthetic_data_dir, tmp_path, capsys):
+    folder = tmp_path / "data"
+    folder.mkdir()
+    for path in synthetic_data_dir.iterdir():
+        (folder / path.name).write_bytes(path.read_bytes())
+    labels = folder / "t10k-labels-idx1-ubyte.gz"
+    payload = bytearray(gzip.decompress(labels.read_bytes()))
+    payload[8] = 12  # the first label, right after the 8-byte header
+    labels.write_bytes(gzip.compress(bytes(payload)))
+    out = tmp_path / "out"
+    assert run(*train_smoke_args(folder, out)) == EXIT_DATA
+    assert f"{labels}: label 12 at offset 8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- report
 
 
@@ -280,7 +319,7 @@ def test_report_of_a_model_without_statistics_exits_3(trained_model_path, tmp_pa
     bad.write_text(json.dumps(payload))
     out = tmp_path / "o"
     assert run("report", "--model", str(bad), "--output-dir", str(out)) == EXIT_DATA
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- optimize
@@ -348,24 +387,30 @@ def test_optimize_trace_csv_contains_all_iterations(synthetic_data_dir, tmp_path
     assert len(lines) == 2 + 7
 
 
-def test_optimize_resume_from_checkpoint(synthetic_data_dir, tmp_path, monkeypatch):
-    full_out = tmp_path / "full"
-    assert run(*optimize_smoke_args(synthetic_data_dir, full_out)) == EXIT_OK
-    final = yaml.safe_load((full_out / "best_params.yaml").read_text())
-
+def interrupt_after_the_first_checkpoint(args, monkeypatch):
+    """Run ``optimize`` with ``args`` and stop it right after it saves the
+    checkpoint of iteration 1."""
     save = rpso.save_checkpoint
 
     def save_then_interrupt(swarm, path):
         save(swarm, path)
         raise KeyboardInterrupt
 
-    # interrupted right after the checkpoint of iteration 1 of 2
-    out = tmp_path / "opt"
-    args = optimize_smoke_args(synthetic_data_dir, out)
     monkeypatch.setattr(rpso, "save_checkpoint", save_then_interrupt)
     with pytest.raises(KeyboardInterrupt):
         run(*args)
     monkeypatch.undo()
+
+
+def test_optimize_resume_from_checkpoint(synthetic_data_dir, tmp_path, monkeypatch):
+    full_out = tmp_path / "full"
+    assert run(*optimize_smoke_args(synthetic_data_dir, full_out)) == EXIT_OK
+    final = yaml.safe_load((full_out / "best_params.yaml").read_text())
+
+    # interrupted right after the checkpoint of iteration 1 of 2
+    out = tmp_path / "opt"
+    args = optimize_smoke_args(synthetic_data_dir, out)
+    interrupt_after_the_first_checkpoint(args, monkeypatch)
     assert not (out / "trace.csv").exists()
 
     assert run(*args, "--resume", str(out / "checkpoint.json")) == EXIT_OK
@@ -380,17 +425,9 @@ def test_optimize_resume_from_checkpoint(synthetic_data_dir, tmp_path, monkeypat
 def test_optimize_resume_into_another_output_dir_keeps_its_input(
     synthetic_data_dir, tmp_path, monkeypatch
 ):
-    save = rpso.save_checkpoint
-
-    def save_then_interrupt(swarm, path):
-        save(swarm, path)
-        raise KeyboardInterrupt
-
     source = tmp_path / "a"
-    monkeypatch.setattr(rpso, "save_checkpoint", save_then_interrupt)
-    with pytest.raises(KeyboardInterrupt):
-        run(*optimize_smoke_args(synthetic_data_dir, source))
-    monkeypatch.undo()
+    args = optimize_smoke_args(synthetic_data_dir, source)
+    interrupt_after_the_first_checkpoint(args, monkeypatch)
     interrupted = (source / "checkpoint.json").read_bytes()
 
     target = tmp_path / "b"
@@ -427,6 +464,47 @@ def test_optimize_resume_from_malformed_checkpoint_exits_3(
     args = optimize_smoke_args(synthetic_data_dir, out)
     assert run(*args, "--resume", str(checkpoint)) == EXIT_DATA
     assert not (out / "manifest-optimize.yaml").exists()
+
+
+@pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("positions", lambda payload: [[1.0, 2.0]]),
+        ("velocities", lambda payload: payload["velocities"][:1]),
+        ("pbest_fitness", lambda payload: payload["pbest_fitness"][:2]),
+        ("gbest_position", lambda payload: payload["gbest_position"][:5]),
+        ("trace", lambda payload: [{**rec, "position": [0.5]} for rec in payload["trace"]]),
+        ("gbest_index", lambda payload: 7),
+        ("iteration", lambda payload: -3),
+        ("iteration", lambda payload: 3),
+        ("trace", lambda payload: []),
+        ("immigrant_counts", lambda payload: []),
+        ("evaluations", lambda payload: payload["evaluations"] + 1),
+    ],
+    ids=[
+        "positions", "velocities", "pbest_fitness", "gbest_position", "trace_position",
+        "gbest_index", "iteration_below_0", "iteration_past_the_end", "trace",
+        "immigrant_counts", "evaluations",
+    ],
+)
+def test_optimize_resume_from_a_checkpoint_its_config_cannot_reach_exits_3(
+    synthetic_data_dir, tmp_path, monkeypatch, key, edit
+):
+    """A checkpoint of 3 particles in 6 dimensions at iteration 1 of 2, with
+    one entry edited, is refused before any data is read (it used to fail
+    with exit 1 or to run on with exit 0)."""
+    out = tmp_path / "opt"
+    args = optimize_smoke_args(synthetic_data_dir, out)
+    args += ["--set", "optimize.particles=3", "--set", "method=6"]
+    interrupt_after_the_first_checkpoint(args, monkeypatch)
+    payload = json.loads((out / "checkpoint.json").read_text())
+    assert payload["iteration"] == 1
+    payload[key] = edit(payload)
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(payload))
+    before = files_of(out)
+    assert run(*args, "--resume", str(edited)) == EXIT_DATA
+    assert files_of(out) == before
 
 
 def test_optimize_with_an_empty_split_exits_3(synthetic_data_dir, tmp_path):
@@ -602,6 +680,23 @@ def test_grid_smoke(synthetic_data_dir, tmp_path):
     md = (out / "grid.md").read_text().splitlines()
     assert md[1] == "| architecture | method 4 |"
     assert md[3].startswith("| 784:3:10 |")
+
+
+def test_grid_scores_an_overflowing_method_0_as_the_search_does(synthetic_data_dir, tmp_path):
+    """Each cell is trained and scored by the search's objective, so at
+    a1 = 2.0 the overflowing method 6 is a 0 in the table (the run used to
+    exit 4 with nothing written), and the other cells are unchanged."""
+
+    def grid(out, methods):
+        args = grid_smoke_args(synthetic_data_dir, out)
+        args += ["--set", f"grid.methods={methods}", "--set", "params.a1=2.0"]
+        assert run(*args) == EXIT_OK
+        return (out / "grid.csv").read_text().splitlines()[2:], (out / "grid.md").read_text()
+
+    cells, md = grid(tmp_path / "with", [5, 3, 6])
+    cells_without, md_without = grid(tmp_path / "without", [5, 3])
+    assert cells == [*cells_without, "784:3:10,6,0"]
+    assert md.splitlines()[-1] == md_without.splitlines()[-1] + " 0.00% |"
 
 
 # ---------------------------------------------------------------- every table

@@ -194,6 +194,16 @@ def test_count_mismatch_raises(tmp_path):
         load_idx(tmp_path / "imgs", tmp_path / "short-labs")
 
 
+def test_a_label_above_9_raises_naming_file_offset_and_value(tmp_path):
+    save_idx(tiny_dataset(6), tmp_path / "imgs", tmp_path / "labs")
+    payload = bytearray((tmp_path / "labs").read_bytes())
+    payload[8 + 3] = 12  # the fourth label, after the 8-byte header
+    (tmp_path / "labs").write_bytes(bytes(payload))
+    with pytest.raises(IdxFormatError) as caught:
+        load_idx(tmp_path / "imgs", tmp_path / "labs")
+    assert str(caught.value) == f"{tmp_path / 'labs'}: label 12 at offset 11 is not a digit 0-9"
+
+
 def test_unexpected_geometry_raises(tmp_path):
     images = np.zeros((2, 32, 32), dtype=np.uint8)
     header = struct.pack(">iiii", 2051, 2, 32, 32)

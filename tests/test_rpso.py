@@ -1,7 +1,9 @@
 """Particle swarm with random immigrants: velocity update, bound handling,
 immigrant replacement, checkpointing and the end-to-end optimize loop."""
 
+import dataclasses
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -15,7 +17,6 @@ from chaosnet.network import TrainingDivergedError
 from chaosnet.rpso import (
     FAILED_FITNESS,
     MAP_PARAM_NAMES,
-    OptimizationError,
     Swarm,
     SwarmConfig,
     immigrate,
@@ -73,6 +74,15 @@ def test_immigrant_count_floor():
 def test_immigrant_count_never_replaces_whole_swarm():
     config = box_config(particle_count=10, immigrant_fraction=1.0)
     assert config.immigrants_per_iteration == 9
+
+
+def test_config_as_dict_holds_each_field_once_and_rebuilds_the_config():
+    config = box_config(lower=np.array([-5.0, 0.5]), upper=np.array([5.0, 1.5]))
+    d = config.as_dict()
+    assert list(d) == [f.name for f in dataclasses.fields(SwarmConfig)]
+    assert d["lower"] == [-5.0, 0.5] and isinstance(d["lower"], list)
+    assert json.loads(json.dumps(d)) == d
+    assert SwarmConfig(**d).as_dict() == d
 
 
 def test_config_validation():
@@ -161,35 +171,38 @@ def test_pso_step_updates_personal_and_global_best():
     assert swarm.gbest_fitness >= -(0.2 - 0.3) ** 2
 
 
-def test_failing_objective_scores_negative_infinity():
-    for error in (MapOverflowError(16), TrainingDivergedError(2)):
+@pytest.mark.parametrize(
+    "error",
+    [MapOverflowError(16), TrainingDivergedError(2), ZeroDivisionError("1 / 0")],
+    ids=lambda error: type(error).__name__,
+)
+def test_objective_error_escapes_the_swarm(error):
+    """The objective scores a failed position itself (the accuracy objective
+    gives it 0.0), so whatever it raises is a fault and stops the run, a map
+    overflow or a divergence included."""
 
-        def bad(position):
-            raise error
+    def raising(position):
+        raise error
 
-        swarm = manual_swarm(0.2, 0.1, 0.5, 0.9, draws=(0.0, 0.0))
-        swarm.pbest_fitness = np.array([-4.0])
-        swarm.gbest_fitness = -4.0
-        pso_step(swarm, bad)
-        # the failed evaluation must not displace the existing bests
-        assert swarm.pbest_fitness[0] == -4.0
-        assert swarm.gbest_fitness == -4.0
-
-
-def test_unexpected_objective_error_escapes_the_swarm():
-    def buggy(position):
-        return 1 / 0
-
-    with pytest.raises(ZeroDivisionError):
-        init_swarm(buggy, box_config())
+    with pytest.raises(type(error)):
+        init_swarm(raising, box_config())
     swarm = manual_swarm(0.2, 0.1, 0.5, 0.9, draws=(0.0, 0.0))
-    with pytest.raises(ZeroDivisionError):
-        pso_step(swarm, buggy)
+    with pytest.raises(type(error)):
+        pso_step(swarm, raising)
 
 
-def test_init_swarm_raises_when_everything_fails():
-    with pytest.raises(OptimizationError):
-        init_swarm(lambda p: float("nan"), box_config())
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_objective_value_raises(value):
+    # the first particle of box_config() stands at x > 0 and scores; the
+    # second, at x < 0, stops the round
+    def objective(position):
+        return value if position[0] < 0.0 else sphere(position)
+
+    with pytest.raises(ValueError, match="the objective returned"):
+        init_swarm(objective, box_config())
+    swarm = manual_swarm(0.2, 0.1, 0.5, 0.9, draws=(0.0, 0.0))
+    with pytest.raises(ValueError, match="the objective returned"):
+        pso_step(swarm, lambda position: value)
 
 
 def test_init_swarm_positions_respect_bounds():
