@@ -10,14 +10,14 @@ Configuration is a single YAML tree; any leaf can be overridden from the
 command line with ``--set dotted.path=value``.  :func:`settings` converts
 the whole tree once, before any command runs, so a bad value under any key
 exits 2 before a file is written or data is read.  Every command computes
-first and writes after, creating a missing output directory only then, so a
-run that fails in its computation leaves its output directory as it was, but
-for ``optimize``'s per-iteration checkpoint, which ``--resume`` reads.  A run
-that succeeds writes, last, a manifest with the fully resolved configuration
-and seed.
-Every table a command emits goes through :func:`_write_csv`, whose first
-line cites the artifact version and the manifest hash; the library
-modules write no tables.
+first, then :func:`_publish` writes its outputs, creating a missing output
+directory only then, and last a manifest with the fully resolved
+configuration and seed; so a run that fails in its computation leaves its
+output directory as it was, but for ``optimize``'s per-iteration checkpoint,
+which ``--resume`` reads.  Each file is written whole or not at all by
+``files.write_atomic``, the package's one writer.  Every table is formatted
+by :func:`_csv`, whose first line cites the artifact version and the
+manifest hash; the library modules format no tables.
 ``model.json`` and ``metrics.json`` carry the whole hash in a field.
 """
 
@@ -40,6 +40,7 @@ import yaml
 
 import chaosnet
 from chaosnet import analysis, footprint, mnist, network, rpso
+from chaosnet.files import write_atomic
 from chaosnet.maps import MAP_PARAM_NAMES, MapOverflowError, MapParams
 from chaosnet.mnist import N_CLASSES, IdxFormatError, SplitPlan, split_indices
 from chaosnet.network import Architecture, TrainConfig, TrainingDivergedError
@@ -205,8 +206,7 @@ class Settings:
     poincare_count: int
     bytes_per_value: int
     grid_methods: list[FillMethod]
-    # per architecture, one reservoir config for each of grid_methods
-    grid: list[tuple[Architecture, list[ReservoirConfig]]]
+    grid_architectures: list[Architecture]
 
 
 def _convert(key: str, build, *args, **kwargs):
@@ -324,13 +324,11 @@ def settings(config: dict) -> Settings:
     method = _convert("method", FillMethod.from_id, c["method"])
     params = _convert("params", MapParams, **c["params"])
     architecture = _convert("architecture", _architecture, **c["architecture"])
-    grid_methods = _convert(
-        "grid.methods", lambda: [FillMethod.from_id(_int(m)) for m in _list(c["grid"]["methods"])]
-    )
-    grid_architectures = _convert(
-        "grid.architectures",
-        lambda: [_architecture(*pair) for pair in _list(c["grid"]["architectures"])],
-    )
+    # a ReservoirConfig refuses a B that a sine method of the grid cannot use
+    grid_methods = _convert("grid.methods", lambda: [
+        ReservoirConfig(FillMethod.from_id(_int(m)), params, architecture.reservoir_size).method
+        for m in _list(c["grid"]["methods"])
+    ])
     # the other keys of both sections are the fields of their configs
     with_accuracy = c["sweep"].pop("with_accuracy")
     c["optimize"]["particle_count"] = c["optimize"].pop("particles")
@@ -364,12 +362,9 @@ def settings(config: dict) -> Settings:
             "report.bytes_per_value", _at_least, c["report"]["bytes_per_value"]
         ),
         grid_methods=grid_methods,
-        grid=_convert(
-            "grid.methods",
-            lambda: [
-                (arch, [ReservoirConfig(m, params, arch.reservoir_size) for m in grid_methods])
-                for arch in grid_architectures
-            ],
+        grid_architectures=_convert(
+            "grid.architectures",
+            lambda: [_architecture(*pair) for pair in _list(c["grid"]["architectures"])],
         ),
     )
 
@@ -406,7 +401,7 @@ def _blas_threads() -> int | None:
 
 def manifest(config: dict, out: Path, command: str) -> tuple[Path, str, str]:
     """The path, text and sha256 of the manifest: resolved config + seed +
-    version, hashed so outputs can cite it.  A command writes the text last.
+    version, hashed so outputs can cite it.  :func:`_publish` writes it last.
 
     The numpy version and the BLAS thread count are recorded too: the
     projection's last bits depend on both, so one hash means one arithmetic.
@@ -422,12 +417,12 @@ def manifest(config: dict, out: Path, command: str) -> tuple[Path, str, str]:
     return out / f"manifest-{command}.yaml", text, hashlib.sha256(text.encode()).hexdigest()
 
 
-def _write_stamped(path: Path, digest: str, lines) -> None:
-    """``lines`` under a comment line citing the version and the manifest."""
+def _stamped(path: Path, digest: str, lines) -> tuple[Path, str]:
+    """(path, text): ``lines`` under a comment line citing the version and the manifest."""
     stamp = f"chaosnet {chaosnet.__version__} manifest sha256:{digest[:16]}"
     # markdown reads "# ..." as a heading, so a markdown file gets an HTML comment
     stamp = f"<!-- {stamp} -->" if path.suffix == ".md" else f"# {stamp}"
-    path.write_text("\n".join([stamp, *lines, ""]), encoding="ascii")
+    return path, "\n".join([stamp, *lines, ""])
 
 
 def _cell(value) -> str:
@@ -435,9 +430,18 @@ def _cell(value) -> str:
     return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
-def _write_csv(path: Path, digest: str, header, rows) -> None:
-    """The one CSV writer: the stamp, the header, then one line per row."""
-    _write_stamped(path, digest, [",".join(header), *(",".join(map(_cell, r)) for r in rows)])
+def _csv(path: Path, digest: str, header, rows) -> tuple[Path, str]:
+    """The one CSV format: the stamp, the header, then one line per row."""
+    return _stamped(path, digest, [",".join(header), *(",".join(map(_cell, r)) for r in rows)])
+
+
+def _publish(manifest: tuple[Path, str], files) -> None:
+    """Write each ``(path, text)`` of ``files`` in order, then the manifest,
+    creating a missing directory with the first file it holds.  Each file is
+    whole, old or new; a run killed between two files can leave a mix."""
+    for path, text in [*files, manifest]:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_atomic(path, text)
 
 
 def _load_datasets(s: Settings):
@@ -492,7 +496,7 @@ def cmd_optimize(config: dict, s: Settings, resume_path: str | None = None) -> i
     out = _output_dir(s)
     manifest_path, text, digest = manifest(config, out, "optimize")
     objective = _search_objective(s, score_on_test=False)
-    out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)  # the checkpoint lands here every iteration
     checkpoint = out / "checkpoint.json"
     if swarm is not None:
         swarm = rpso.resume(objective, swarm, checkpoint_path=checkpoint)
@@ -502,7 +506,7 @@ def cmd_optimize(config: dict, s: Settings, resume_path: str | None = None) -> i
     trace_path = out / "trace.csv"
     columns = [f"best_x{i}" for i in range(swarm.gbest_position.size)]
     rows = ([rec.iteration, rec.fitness, *rec.position] for rec in swarm.trace)
-    _write_csv(trace_path, digest, ["iteration", "best_fitness", *columns], rows)
+    trace = _csv(trace_path, digest, ["iteration", "best_fitness", *columns], rows)
     best = rpso.params_from_position(swarm.gbest_position)
     best_path = out / "best_params.yaml"
     best_yaml = yaml.safe_dump(
@@ -513,8 +517,7 @@ def cmd_optimize(config: dict, s: Settings, resume_path: str | None = None) -> i
         },
         sort_keys=True,
     )
-    _write_stamped(best_path, digest, best_yaml.splitlines())
-    manifest_path.write_text(text, encoding="ascii")
+    _publish((manifest_path, text), [trace, _stamped(best_path, digest, best_yaml.splitlines())])
     print(f"best fitness {swarm.gbest_fitness:.6f} after {swarm.evaluations} evaluations")
     print(f"wrote {trace_path}, {best_path}, {manifest_path}")
     return EXIT_OK
@@ -542,8 +545,7 @@ def cmd_train(config: dict, s: Settings) -> int:
     accuracy = int(np.trace(confusion)) / len(test_ds)
 
     model.training_meta["manifest_sha256"] = digest  # the model cites its run, as metrics do
-    for directory in (out, model_path.parent):
-        directory.mkdir(parents=True, exist_ok=True)
+    model_path.parent.mkdir(parents=True, exist_ok=True)
     network.save_model(model, model_path)
     metrics = {
         "architecture": s.architecture.describe(),
@@ -556,8 +558,7 @@ def cmd_train(config: dict, s: Settings) -> int:
         "manifest_sha256": digest,
     }
     metrics_path = out / "metrics.json"
-    metrics_path.write_text(json.dumps(metrics, indent=1), encoding="ascii")
-    manifest_path.write_text(text, encoding="ascii")
+    _publish((manifest_path, text), [(metrics_path, json.dumps(metrics, indent=1))])
     print(f"test accuracy {accuracy:.4f} on {len(test_ds)} samples")
     print(f"wrote {model_path}, {metrics_path}, {manifest_path}")
     return EXIT_OK
@@ -579,7 +580,6 @@ def cmd_analyze(config: dict, s: Settings) -> int:
     table = analysis.entropy_accuracy_table(s.sweep, accuracy_fn)
     pairs = analysis.poincare_pairs(s.poincare_params, s.poincare_count)
 
-    out.mkdir(parents=True, exist_ok=True)
     bif_path = out / "bifurcation.csv"
     # long format; an overflowed value is one row with the failing iteration
     bif_lines = []
@@ -588,14 +588,14 @@ def cmd_analyze(config: dict, s: Settings) -> int:
             bif_lines.append([row.value, row.error_iteration, "nan"])
         else:
             bif_lines += ([row.value, i, y] for i, y in enumerate(row.iterates))
-    _write_csv(bif_path, digest, ["param", "iterate_index", "y"], bif_lines)
+    files = [_csv(bif_path, digest, ["param", "iterate_index", "y"], bif_lines)]
     table_path = out / "entropy_accuracy.csv"
     apen_keys = [(m, r) for m in analysis.TABLE_M_VALUES for r in analysis.TABLE_R_VALUES]
     header = ["param", *(f"apen_m{m}_r{r:g}" for m, r in apen_keys), "accuracy"]
     rows = ([row.value, *(row.apen[key] for key in apen_keys), row.accuracy] for row in table)
-    _write_csv(table_path, digest, header, rows)
+    files.append(_csv(table_path, digest, header, rows))
     poincare_path = out / "poincare.csv"
-    _write_csv(poincare_path, digest, ["x", "y"], pairs)
+    files.append(_csv(poincare_path, digest, ["x", "y"], pairs))
 
     key = (2, 0.025)
     valid = [
@@ -612,17 +612,13 @@ def cmd_analyze(config: dict, s: Settings) -> int:
     else:
         spearman_line += f"{rho:.6f} over {len(valid)} points"
     summary_path = out / "summary.txt"
-    _write_stamped(
-        summary_path,
-        digest,
-        [
-            f"sweep_points: {len(table)}",
-            f"overflowed_points: {sum(1 for r in table if r.overflowed)}",
-            f"bifurcation_rows: {sum(len(r.iterates) for r in bif_rows)}",
-            spearman_line,
-        ],
-    )
-    manifest_path.write_text(text, encoding="ascii")
+    summary = [
+        f"sweep_points: {len(table)}",
+        f"overflowed_points: {sum(1 for r in table if r.overflowed)}",
+        f"bifurcation_rows: {sum(len(r.iterates) for r in bif_rows)}",
+        spearman_line,
+    ]
+    _publish((manifest_path, text), [*files, _stamped(summary_path, digest, summary)])
     print(f"wrote {bif_path}, {table_path}, {poincare_path}, {summary_path}, {manifest_path}")
     print(spearman_line)
     return EXIT_OK
@@ -638,11 +634,10 @@ def cmd_report(config: dict, s: Settings) -> int:
         model = network.load_model(model_path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise IdxFormatError(f"cannot read model file {model_path}: {exc}") from exc
-    out.mkdir(parents=True, exist_ok=True)
-    lines = []
+    files, lines = [], []
     for mode in ("streaming", "materialized"):
         report = footprint.footprint(model, mode, s.bytes_per_value)
-        _write_csv(
+        files.append(_csv(
             out / f"footprint-{mode}.csv",
             digest,
             ["reservoir_parameter_count", "normalization_value_count",
@@ -650,7 +645,7 @@ def cmd_report(config: dict, s: Settings) -> int:
             [[report.reservoir_parameter_count, report.normalization_value_count,
               report.classifier_weight_count, int(report.streaming_mode),
               report.bytes_per_value, report.estimated_bytes]],
-        )
+        ))
         lines += [
             f"reservoir mode:            {mode}",
             f"reservoir parameter count: {report.reservoir_parameter_count}",
@@ -662,8 +657,7 @@ def cmd_report(config: dict, s: Settings) -> int:
             "",
         ]
     # the stamp goes into the file only; stdout shows the report itself
-    _write_stamped(out / "footprint.txt", digest, lines[:-1])
-    manifest_path.write_text(text, encoding="ascii")
+    _publish((manifest_path, text), [*files, _stamped(out / "footprint.txt", digest, lines[:-1])])
     print("\n".join(lines), end="")
     print(f"wrote {out / 'footprint.txt'}, CSVs, {manifest_path}")
     return EXIT_OK
@@ -674,41 +668,38 @@ def cmd_grid(config: dict, s: Settings) -> int:
     manifest_path, text, digest = manifest(config, out, "grid")
     train_ds, test_ds = _load_datasets(s)
 
+    position = rpso.position_from_params(s.reservoir.params)
     rows: list[tuple[str, list[float]]] = []  # per architecture, one accuracy per method
-    for architecture, reservoir_configs in s.grid:
+    for architecture in s.grid_architectures:
         accuracies = []
-        for reservoir_config in reservoir_configs:
+        for method in s.grid_methods:
             # the search's objective and failure policy, scored on the test set
             objective = rpso.make_accuracy_objective(
-                reservoir_config.method, architecture, train_ds.images, train_ds.labels,
+                method, architecture, train_ds.images, train_ds.labels,
                 test_ds.images, test_ds.labels, s.train, mode=s.mode,
             )
-            accuracy = objective(rpso.position_from_params(reservoir_config.params))
+            accuracy = objective(position)
             accuracies.append(accuracy)
-            print(f"{architecture.describe()} method {reservoir_config.method.id}: {accuracy:.4f}")
+            print(f"{architecture.describe()} method {method.id}: {accuracy:.4f}")
         rows.append((architecture.describe(), accuracies))
 
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "grid.csv"
     cells = [
         [arch, method.id, accuracy]
         for arch, accuracies in rows
         for method, accuracy in zip(s.grid_methods, accuracies)
     ]
-    _write_csv(csv_path, digest, ["architecture", "method", "accuracy"], cells)
-
     md_path = out / "grid.md"
-    _write_stamped(
-        md_path,
-        digest,
-        [
-            "| architecture |" + "".join(f" method {m.id} |" for m in s.grid_methods),
-            "|---|" + "---|" * len(s.grid_methods),
-            *("| " + " | ".join([arch] + [f"{a * 100:.2f}%" for a in accuracies]) + " |"
-              for arch, accuracies in rows),
-        ],
-    )
-    manifest_path.write_text(text, encoding="ascii")
+    md = [
+        "| architecture |" + "".join(f" method {m.id} |" for m in s.grid_methods),
+        "|---|" + "---|" * len(s.grid_methods),
+        *("| " + " | ".join([arch] + [f"{a * 100:.2f}%" for a in accuracies]) + " |"
+          for arch, accuracies in rows),
+    ]
+    _publish((manifest_path, text), [
+        _csv(csv_path, digest, ["architecture", "method", "accuracy"], cells),
+        _stamped(md_path, digest, md),
+    ])
     print(f"wrote {csv_path}, {md_path}, {manifest_path}")
     return EXIT_OK
 

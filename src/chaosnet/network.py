@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from chaosnet.files import write_atomic
 from chaosnet.maps import MapParams
 from chaosnet.mnist import N_CLASSES
 from chaosnet.reservoir import INPUT_DIM, FillMethod, Reservoir, ReservoirConfig, sigmoid
@@ -301,7 +302,7 @@ def evaluate(model: NetworkModel, images: np.ndarray, labels: np.ndarray,
 
 
 def save_model(model: NetworkModel, path) -> None:
-    """Decimal-text serialization; floats round-trip value-exact."""
+    """Decimal-text serialization, written whole or not at all; floats round-trip value-exact."""
     reservoir, arch = model.reservoir, model.architecture
     params = reservoir.config.params
     payload = {
@@ -329,8 +330,7 @@ def save_model(model: NetworkModel, path) -> None:
         },
         "training_meta": model.training_meta,
     }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=1)
+    write_atomic(path, json.dumps(payload, indent=1))
 
 
 def load_model(path) -> NetworkModel:

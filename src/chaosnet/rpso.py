@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
+from chaosnet.files import write_atomic
 from chaosnet.maps import MAP_PARAM_NAMES, MapOverflowError, MapParams
 from chaosnet.network import TrainConfig, TrainingDivergedError, evaluate, train
 from chaosnet.reservoir import ReservoirConfig
@@ -228,10 +228,7 @@ def immigrate(swarm: Swarm) -> np.ndarray:
 
 
 def optimize(
-    objective: Callable[[np.ndarray], float],
-    config: SwarmConfig,
-    callback: Callable[[int, Swarm], None] | None = None,
-    checkpoint_path=None,
+    objective: Callable[[np.ndarray], float], config: SwarmConfig, checkpoint_path=None
 ) -> Swarm:
     """Run ``iterations`` rounds of step + immigration; maximizes.
 
@@ -241,15 +238,10 @@ def optimize(
     snapshotted after every iteration and an interrupted run can continue
     via :func:`resume`.
     """
-    return resume(objective, init_swarm(objective, config), callback, checkpoint_path)
+    return resume(objective, init_swarm(objective, config), checkpoint_path)
 
 
-def resume(
-    objective: Callable[[np.ndarray], float],
-    swarm: Swarm,
-    callback: Callable[[int, Swarm], None] | None = None,
-    checkpoint_path=None,
-) -> Swarm:
+def resume(objective: Callable[[np.ndarray], float], swarm: Swarm, checkpoint_path=None) -> Swarm:
     """Run ``swarm`` on until ``swarm.config.iterations`` and return it.
 
     Given the swarm :func:`load_checkpoint` read from an interrupted
@@ -267,12 +259,11 @@ def resume(
         swarm.trace.append(swarm.record(time.monotonic() - start))
         if checkpoint_path is not None:
             save_checkpoint(swarm, checkpoint_path)
-        if callback is not None:
-            callback(swarm.iteration, swarm)
     return swarm
 
 
 def save_checkpoint(swarm: Swarm, path) -> None:
+    """Snapshot ``swarm`` to ``path``; a write cut short keeps the previous one."""
     payload = {
         "config": swarm.config.as_dict(),
         "rng_state": swarm.rng.bit_generator.state,
@@ -297,18 +288,7 @@ def save_checkpoint(swarm: Swarm, path) -> None:
         ],
         "immigrant_counts": swarm.immigrant_counts,
     }
-    # a write cut short leaves the previous checkpoint intact: only a complete
-    # file, flushed to disk, is renamed over it
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="ascii") as fh:
-            json.dump(payload, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    write_atomic(path, json.dumps(payload))
 
 
 def load_checkpoint(path) -> Swarm:
@@ -348,8 +328,10 @@ def load_checkpoint(path) -> Swarm:
 
 def _check_state(swarm: Swarm) -> None:
     """Raise ValueError unless ``swarm`` is a state its own config can reach:
-    arrays of (n, d), (n,) or (d,), a best index among the particles, and a
-    history as long as its iteration."""
+    arrays of (n, d), (n,) or (d,), a best index among the particles, a
+    history as long as its iteration and numbered 0..iteration, finite best
+    and trace fitness, and personal bests that are not NaN (-inf marks one
+    not scored yet)."""
     config, k = swarm.config, swarm.iteration
     n, d = config.particle_count, config.dimensions
     shapes = [(name, getattr(swarm, name).shape, (n, d))
@@ -371,6 +353,11 @@ def _check_state(swarm: Swarm) -> None:
             f"at iteration {k} the trace, immigrant counts and evaluations must "
             f"number {k + 1}, {k} and {n * (k + 1)}, found {found}"
         )
+    if [rec.iteration for rec in swarm.trace] != list(range(k + 1)):
+        raise ValueError(f"the trace must number its records 0..{k}")
+    fitness = [swarm.gbest_fitness, *(rec.fitness for rec in swarm.trace)]
+    if not np.isfinite(fitness).all() or np.isnan(swarm.pbest_fitness).any():
+        raise ValueError("gbest and trace fitness must be finite, and pbest_fitness not NaN")
 
 
 def make_accuracy_objective(

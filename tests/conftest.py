@@ -1,9 +1,14 @@
 """Shared fixtures: synthetic image sets, IDX files on disk, small trained models,
-and the sphere benchmark the swarm is tested on."""
+the sphere benchmark the swarm is tested on, and a file write that fails."""
+
+import errno
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from chaosnet import files
 from chaosnet.maps import MapParams
 from chaosnet.mnist import LabeledDataset, find_mnist
 from chaosnet.network import Architecture, TrainConfig, train
@@ -110,3 +115,53 @@ def tiny_trained_model():
     )
     settings = TrainConfig(max_epochs=2, learning_rate=0.5, batch_size=8, rng_seed=0)
     return train(images, labels, Architecture(5), config, settings)
+
+
+WRITE_STEPS = ("write", "fsync", "rename")
+
+
+class _HalfWrite:
+    """An open file whose write stops halfway through, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def fail_writing(monkeypatch, step, name):
+    """Make ``files.write_atomic`` fail at ``step``, one of WRITE_STEPS, when
+    it writes a file called ``name``: the write stops halfway through the
+    text, or the fsync or the rename raises OSError.  Other files are written
+    as usual."""
+    real_open, real_fsync, real_replace = open, os.fsync, os.replace
+    descriptors = []  # of the target's temporary files
+
+    def open_(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        if Path(path).name != f"{name}.tmp":
+            return fh
+        descriptors.append(fh.fileno())
+        return _HalfWrite(fh) if step == "write" else fh
+
+    def fsync(fd):
+        if step == "fsync" and fd in descriptors:
+            raise OSError(errno.EIO, "Input/output error")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        if step == "rename" and Path(dst).name == name:
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(files, "open", open_, raising=False)
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)

@@ -29,6 +29,8 @@ from chaosnet.cli import (
 from chaosnet.mnist import SplitPlan
 from chaosnet.network import TrainConfig
 
+from conftest import fail_writing
+
 
 def run(*args):
     return main(list(args))
@@ -138,6 +140,25 @@ def test_a_failed_write_is_not_a_data_error(synthetic_data_dir, tmp_path, monkey
     monkeypatch.setattr(network, "save_model", fail)
     with pytest.raises(FileNotFoundError):
         run(*train_smoke_args(synthetic_data_dir, tmp_path / "out"))
+
+
+def test_a_failed_metrics_write_keeps_the_earlier_run(synthetic_data_dir, tmp_path, monkeypatch):
+    """A second train into an earlier run's directory whose write of
+    metrics.json fails stays a traceback (exit 1): metrics.json and the
+    manifest, written after it, keep the earlier run's bytes, and no
+    temporary file is left.  The model, written before, is the new one."""
+    out = tmp_path / "out"
+    args = train_smoke_args(synthetic_data_dir, out)
+    assert run(*args, "--set", "method=6") == EXIT_OK
+    before = files_of(out)
+    fail_writing(monkeypatch, "write", "metrics.json")
+    with pytest.raises(OSError):
+        run(*args, "--set", "method=4")
+    after = files_of(out)
+    assert set(after) == set(before)
+    assert after["metrics.json"] == before["metrics.json"]
+    assert after["manifest-train.yaml"] == before["manifest-train.yaml"]
+    assert after["model.json"] != before["model.json"]
 
 
 def test_train_overflowing_params_exit_4(synthetic_data_dir, tmp_path):
@@ -480,11 +501,18 @@ def test_optimize_resume_from_malformed_checkpoint_exits_3(
         ("trace", lambda payload: []),
         ("immigrant_counts", lambda payload: []),
         ("evaluations", lambda payload: payload["evaluations"] + 1),
+        # each resumed with exit 0 and wrote "fitness: .nan" or a row numbered 7
+        ("gbest_fitness", lambda payload: "nan"),
+        ("pbest_fitness", lambda payload: ["nan"] * len(payload["pbest_fitness"])),
+        ("trace", lambda payload: [{**rec, "fitness": "nan"} for rec in payload["trace"]]),
+        ("trace", lambda payload: [{**rec, "iteration": 7 * i}
+                                   for i, rec in enumerate(payload["trace"])]),
     ],
     ids=[
         "positions", "velocities", "pbest_fitness", "gbest_position", "trace_position",
         "gbest_index", "iteration_below_0", "iteration_past_the_end", "trace",
-        "immigrant_counts", "evaluations",
+        "immigrant_counts", "evaluations", "gbest_fitness_nan", "pbest_fitness_nan",
+        "trace_fitness_nan", "trace_iterations_0_7",
     ],
 )
 def test_optimize_resume_from_a_checkpoint_its_config_cannot_reach_exits_3(
@@ -492,13 +520,14 @@ def test_optimize_resume_from_a_checkpoint_its_config_cannot_reach_exits_3(
 ):
     """A checkpoint of 3 particles in 6 dimensions at iteration 1 of 2, with
     one entry edited, is refused before any data is read (it used to fail
-    with exit 1 or to run on with exit 0)."""
+    with exit 1 or to run on with exit 0).  The unedited checkpoint holds
+    -inf personal bests of immigrants, which stay valid."""
     out = tmp_path / "opt"
     args = optimize_smoke_args(synthetic_data_dir, out)
     args += ["--set", "optimize.particles=3", "--set", "method=6"]
     interrupt_after_the_first_checkpoint(args, monkeypatch)
     payload = json.loads((out / "checkpoint.json").read_text())
-    assert payload["iteration"] == 1
+    assert payload["iteration"] == 1 and "-inf" in payload["pbest_fitness"]
     payload[key] = edit(payload)
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(payload))

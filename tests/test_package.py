@@ -1,13 +1,16 @@
-"""The public names of the package and of its modules resolve, and each
-has a caller outside the tests."""
+"""The public names of the package and of its modules resolve, each has a
+caller outside the tests, and one module writes every file."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-PRODUCT_MODULES = ("analysis", "footprint", "maps", "mnist", "network", "reservoir", "rpso")
+PRODUCT_MODULES = (
+    "analysis", "files", "footprint", "maps", "mnist", "network", "reservoir", "rpso"
+)
 MODULES_WITH_ALL = ["chaosnet"] + [f"chaosnet.{name}" for name in PRODUCT_MODULES]
 
 
@@ -72,3 +75,36 @@ def test_every_public_name_has_a_product_caller(module_name):
         if name not in _used_names(rest):
             unused.append(name)
     assert not unused, f"only tests use {module_name}.{unused}; move them into tests/"
+
+
+# an open mode that writes, appends, creates or updates
+WRITE_MODE = re.compile(r"[rbt]*[wax+][rwaxbt+]*")
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether ``call`` opens a file for writing (``open`` with a w, a, x or
+    + mode, ``write_text``, ``write_bytes``) or renames one into place
+    (``os.replace``)."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name == "replace":
+        return isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os"
+    modes = [*call.args[:2], *(kw.value for kw in call.keywords if kw.arg == "mode")]
+    return name == "open" and any(
+        isinstance(m, ast.Constant) and isinstance(m.value, str) and WRITE_MODE.fullmatch(m.value)
+        for m in modes
+    )
+
+
+def test_only_the_writer_writes_files():
+    """``files.write_atomic`` writes every file, whole or not at all; no
+    other module opens a file for writing."""
+    writes = {
+        path.stem: [node.lineno for node in ast.walk(_parse(path))
+                    if isinstance(node, ast.Call) and _writes(node)]
+        for path in PACKAGE.glob("*.py")
+    }
+    assert writes.pop("files"), "the check no longer recognises the writer itself"
+    assert not any(writes.values()), f"files written outside chaosnet.files: {writes}"

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaosnet import rpso
 from chaosnet.maps import MapOverflowError, MapParams
 from chaosnet.network import TrainingDivergedError
 from chaosnet.rpso import (
@@ -31,7 +32,7 @@ from chaosnet.rpso import (
     save_checkpoint,
 )
 
-from conftest import STABLE_PARAMS, make_band_images, sphere
+from conftest import STABLE_PARAMS, fail_writing, make_band_images, sphere
 
 
 def box_config(**overrides):
@@ -340,12 +341,18 @@ def assert_same_run(resumed, full):
 
 
 def interrupt_and_resume(config, stop, path):
-    def abort(iteration, swarm):
-        if iteration == stop:
+    """Run ``optimize`` and stop it right after it saves the checkpoint of
+    iteration ``stop``, then resume from that checkpoint."""
+
+    def save_then_abort(swarm, path):
+        save_checkpoint(swarm, path)
+        if swarm.iteration == stop:
             raise _Abort()
 
-    with pytest.raises(_Abort):
-        optimize(sphere, config, callback=abort, checkpoint_path=path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rpso, "save_checkpoint", save_then_abort)
+        with pytest.raises(_Abort):
+            optimize(sphere, config, checkpoint_path=path)
     return resume(sphere, load_checkpoint(path))
 
 
@@ -408,12 +415,8 @@ def test_interrupted_checkpoint_write_keeps_the_previous_one(tmp_path, monkeypat
     save_checkpoint(swarm, path)
     before = path.read_bytes()
 
-    def dump_half_then_fail(payload, fh):
-        fh.write('{"config": ')
-        raise OSError("disk full")
-
     positions = swarm.positions.copy()
-    monkeypatch.setattr(json, "dump", dump_half_then_fail)
+    fail_writing(monkeypatch, "write", path.name)  # the new text is cut halfway
     immigrate(swarm)
     with pytest.raises(OSError):
         save_checkpoint(swarm, path)
