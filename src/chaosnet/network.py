@@ -19,7 +19,9 @@ import numpy as np
 from chaosnet.files import write_atomic
 from chaosnet.maps import MapParams
 from chaosnet.mnist import N_CLASSES
-from chaosnet.reservoir import INPUT_DIM, FillMethod, Reservoir, ReservoirConfig, sigmoid
+from chaosnet.reservoir import (
+    INPUT_DIM, FillMethod, Reservoir, ReservoirConfig, image_chunks, sigmoid,
+)
 
 DEFAULT_LEARNING_RATE = 0.1
 DEFAULT_BATCH_SIZE = 64
@@ -237,8 +239,24 @@ class NetworkModel:
         flattened as a whole (see :meth:`Reservoir.preactivation`)."""
         return _squash(self.reservoir.preactivation(inputs, mode), self.z_min, self.z_max)
 
-    def predict(self, inputs: np.ndarray, mode: str = "materialized"):
-        return self.classifier.predict(self.features(inputs, mode))
+    def predict(self, inputs: np.ndarray, mode: str = "materialized") -> np.ndarray:
+        """The argmax label of every input, as an array (one label for one input).
+
+        An (N, 28, 28) image stack is scored one chunk of
+        :func:`~chaosnet.reservoir.image_chunks` at a time: the chunk is
+        projected, squashed and passed through the head, and only its labels
+        are kept, so no N-sized float array is held and a streamed stack
+        makes no extra orbit passes.  The labels equal those of the whole
+        stack's features, since each chunk is projected as inside the stack.
+        A vector or (N, 785) rows are scored in one pass.
+        """
+        arr = np.asarray(inputs)
+        if arr.ndim != 3:
+            return self.classifier.predict(self.features(arr, mode))
+        labels = np.empty(len(arr), dtype=np.intp)
+        for start, stop in image_chunks(len(arr), mode):
+            labels[start:stop] = self.classifier.predict(self.features(arr[start:stop], mode))
+        return labels
 
 
 def train(
@@ -293,8 +311,12 @@ def train(
 def evaluate(model: NetworkModel, images: np.ndarray, labels: np.ndarray,
              mode: str = "materialized") -> float:
     """Fraction of argmax predictions matching ``labels`` on (N, 28, 28)
-    uint8 ``images``, projected in chunks without a float copy of the stack."""
+    uint8 ``images``, scored chunk by chunk by :meth:`NetworkModel.predict`
+    without an N-sized float array; one label per image, or a ValueError."""
     labels = np.asarray(labels)
+    if labels.shape != (len(images),):
+        raise ValueError(f"{len(images)} images need as many labels, got {labels.size} "
+                         f"in shape {labels.shape}")
     if labels.size == 0:
         raise ValueError("evaluation dataset is empty")
     predictions = model.predict(images, mode)

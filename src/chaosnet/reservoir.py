@@ -41,7 +41,7 @@ from chaosnet.maps import TRANSIENT_ITERATIONS, MapParams, orbit
 INPUT_DIM = 785  # 784 pixels + bias slot 0
 MODES = ("materialized", "streaming")  # evaluation modes of Reservoir.preactivation
 SINE_INIT_Y0 = 0.51
-PROJECTION_CHUNK_ROWS = 4096  # most image rows scaled and multiplied at once
+PROJECTION_CHUNK_ROWS = 1536  # most image rows scaled and multiplied at once: a 9.6 MB buffer
 STREAM_CHUNK_ROWS = 16384  # most image rows scaled and streamed at once
 SIGMOID_BLOCK_ELEMENTS = 1 << 19  # most values squashed at once: a 4 MB float temporary
 
@@ -157,9 +157,13 @@ def _warm_state(config: ReservoirConfig) -> tuple[float, float]:
     return ((x, y) + tuple(deque(ys, maxlen=2)))[-2:]
 
 
-def _chunks(n: int, most: int) -> list[tuple[int, int]]:
-    """(start, stop) of ceil(n / most) near-equal chunks covering range(n);
-    one empty chunk when n is 0."""
+def image_chunks(n: int, mode: str) -> list[tuple[int, int]]:
+    """(start, stop) of the ceil(n / most) near-equal chunks covering range(n)
+    in which ``mode`` projects a stack of n images, ``most`` being
+    PROJECTION_CHUNK_ROWS (materialized) or STREAM_CHUNK_ROWS (streaming); one
+    empty chunk when n is 0.  A chunk of a stack is thus projected in one
+    piece, exactly as inside the whole stack."""
+    most = PROJECTION_CHUNK_ROWS if mode == "materialized" else STREAM_CHUNK_ROWS
     count = max(1, -(-n // most))
     bounds = [k * n // count for k in range(count + 1)]
     return list(zip(bounds, bounds[1:]))
@@ -309,8 +313,13 @@ class Reservoir:
 
         N <= PROJECTION_CHUNK_ROWS is one call, as ``flatten_images(inputs) @
         W.T``.  For larger N the chunked result equals that product bit for
-        bit when 2 <= P <= 192: BLAS rounds a row alike in any chunk of more
-        than a few rows, and near-equal chunks leave no tiny remainder.
+        bit when 2 <= P <= 192: each near-equal chunk then holds at least
+        PROJECTION_CHUNK_ROWS / 2 = 768 rows, and OpenBLAS was measured to
+        round a row alike in any chunk that large.  Chunks of about 640 rows
+        or fewer broke that for P = 2-5 (a limit of 1024 splits 1025 rows as
+        512 + 513); that fits a switch to its small-matrix dgemm below about
+        1e6 multiply-adds (rows x P x 785), inferred from the mismatches, not
+        from OpenBLAS's source.
         Otherwise it agrees within a few ulps of the sum of absolute terms:
         numpy sends P = 1 to gemv, whose rounding depends on the split, and
         past P = 192 OpenBLAS's AVX-512 dgemm rounds the rows at a call's
@@ -348,7 +357,7 @@ class Reservoir:
         w_t = self.matrix().T
         n = pixels.shape[0]
         z = np.empty((n, self.config.reservoir_size), dtype=np.float64)
-        chunks = _chunks(n, PROJECTION_CHUNK_ROWS)
+        chunks = image_chunks(n, "materialized")
         buf = np.empty((max(b - a for a, b in chunks), INPUT_DIM), dtype=np.float64)
         for start, stop in chunks:
             rows = _write_inputs(pixels[start:stop], buf[: stop - start])
@@ -359,7 +368,7 @@ class Reservoir:
         n = pixels.shape[0]
         # (P, N) sums returned transposed, the layout of a whole-batch stream
         z_t = np.empty((self.config.reservoir_size, n), dtype=np.float64)
-        chunks = _chunks(n, STREAM_CHUNK_ROWS)
+        chunks = image_chunks(n, "streaming")
         buf = np.empty((INPUT_DIM, max(b - a for a, b in chunks)), dtype=np.float64)
         for start, stop in chunks:
             columns = buf[:, : stop - start]
@@ -371,5 +380,5 @@ class Reservoir:
 __all__ = [
     "INPUT_DIM", "MODES", "SINE_INIT_Y0", "PROJECTION_CHUNK_ROWS", "STREAM_CHUNK_ROWS",
     "SIGMOID_BLOCK_ELEMENTS", "FillMethod", "FILL_METHODS", "ReservoirConfig", "valid_sine_b",
-    "flatten_image", "flatten_images", "build_matrix", "sigmoid", "Reservoir",
+    "flatten_image", "flatten_images", "image_chunks", "build_matrix", "sigmoid", "Reservoir",
 ]

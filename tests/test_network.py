@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from chaosnet import reservoir
 from chaosnet.network import (
     Architecture,
     Classifier,
@@ -18,7 +19,7 @@ from chaosnet.network import (
     save_model,
     train,
 )
-from chaosnet.reservoir import FillMethod, Reservoir, ReservoirConfig
+from chaosnet.reservoir import INPUT_DIM, FillMethod, Reservoir, ReservoirConfig
 
 from conftest import STABLE_PARAMS, make_balanced_band_images, make_band_images
 from gradcheck import cross_entropy, gradient_check, loss, numeric_gradients
@@ -251,6 +252,81 @@ def test_evaluate_single_correct_sample(tiny_trained_model):
     assert predictions[hit] == labels[hit]
     acc = evaluate(tiny_trained_model, images[hit : hit + 1], labels[hit : hit + 1])
     assert acc == 1.0
+
+
+@pytest.mark.parametrize("count", [1, 49, 51])
+def test_evaluate_refuses_a_label_count_other_than_the_image_count(tiny_trained_model, count):
+    """One label does not broadcast over 50 images into an accuracy."""
+    images, labels = make_band_images(50, seed=7)
+    with pytest.raises(ValueError, match=f"50 images .* got {count} "):
+        evaluate(tiny_trained_model, images, np.resize(labels, count))
+
+
+def _fitted_model(size, hidden=None, mode="materialized"):
+    """A model with fitted statistics and an untrained head, from 20 images."""
+    images = np.random.default_rng(size).integers(0, 256, size=(20, 28, 28), dtype=np.uint8)
+    labels = np.arange(20, dtype=np.uint8) % 10
+    config = ReservoirConfig(FillMethod.from_id(4), STABLE_PARAMS, size)
+    return train(images, labels, Architecture(size, hidden), config,
+                 TrainConfig(max_epochs=0), mode)
+
+
+def _blockwise_equals_whole_stack(model, images, mode):
+    """``predict`` scores ``images`` chunk by chunk; its labels and the logits
+    of its chunks equal those of the whole stack's features, bit for bit."""
+    whole = model.classifier.logits(model.features(images, mode))
+    blocks = []
+    head = model.classifier.logits
+    model.classifier.logits = lambda features: blocks.append(head(features)) or blocks[-1]
+    labels = model.predict(images, mode)
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+    assert labels.shape == (len(images),)
+    assert np.array_equal(labels, whole.argmax(axis=1))
+    return len(blocks)
+
+
+@pytest.mark.parametrize("hidden", [None, 7])
+@pytest.mark.parametrize("size", [1, 2, 25, 193])
+# N = chunks x C + extra for the chunk size C: 0, 1, C - 1, C, C + 1 and 2C + 1
+@pytest.mark.parametrize("chunks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+def test_blockwise_predict_equals_the_whole_stack(size, hidden, chunks, extra):
+    c = reservoir.PROJECTION_CHUNK_ROWS
+    n = chunks * c + extra
+    images = np.random.default_rng(n).integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+    blocks = _blockwise_equals_whole_stack(_fitted_model(size, hidden), images, "materialized")
+    assert blocks == max(1, -(-n // c))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_blockwise_streamed_predict_equals_the_whole_stack(monkeypatch, n):
+    monkeypatch.setattr(reservoir, "STREAM_CHUNK_ROWS", 3)
+    model = _fitted_model(3, hidden=4, mode="streaming")
+    images = np.random.default_rng(n).integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+    assert _blockwise_equals_whole_stack(model, images, "streaming") == -(-n // 3)
+
+
+def test_scoring_60k_images_holds_no_array_that_grows_with_n():
+    """``evaluate`` (784:25:10) and ``predict`` (784:100:60:10) on 60k images
+    stay under one projection buffer plus 4 MB; the 47 MB of uint8 images
+    are allocated before tracing.  The whole-stack path took 29 and 159 MB."""
+    import tracemalloc
+
+    rng = np.random.default_rng(9)
+    images = rng.integers(0, 256, size=(60_000, 28, 28), dtype=np.uint8)
+    labels = rng.integers(0, 10, size=60_000).astype(np.uint8)
+    bound = 8 * INPUT_DIM * reservoir.PROJECTION_CHUNK_ROWS + 4e6
+    small, wide = _fitted_model(25), _fitted_model(100, hidden=60)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for score in (lambda: evaluate(small, images, labels), lambda: wide.predict(images)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            score()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < bound, f"peaks {[round(p / 1e6, 1) for p in peaks]} MB"
 
 
 def test_classifier_rejects_feature_width_mismatch():

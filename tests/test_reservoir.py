@@ -290,9 +290,10 @@ def test_streaming_matches_materialized(reservoir_config, method_id):
     assert np.max(np.abs(dense - lean)) <= 1e-12
 
 
-# N around the chunk size and its multiples, where a fixed-size split would
+# N around the chunk size C and its multiples, where a fixed-size split would
 # leave a remainder of a few rows
-CHUNK_EDGE_COUNTS = [1, 2, 4095, 4096, 4097, 4098, 8193, 12000]
+C = PROJECTION_CHUNK_ROWS
+CHUNK_EDGE_COUNTS = [1, 2, C - 1, C, C + 1, C + 2, 2 * C + 1, 12000]
 
 
 @settings(max_examples=20, deadline=None)
@@ -301,11 +302,15 @@ CHUNK_EDGE_COUNTS = [1, 2, 4095, 4096, 4097, 4098, 8193, 12000]
     size=st.integers(min_value=1, max_value=200),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-@example(n=4097, size=1, seed=0)
-@example(n=4097, size=25, seed=0)
-@example(n=4097, size=193, seed=0)
+@example(n=C + 1, size=1, seed=0)
+@example(n=C + 1, size=25, seed=0)
+@example(n=C + 1, size=193, seed=0)
+# two chunks of about C / 2 rows at the smallest P: where a C of 1024 broke the band
+@example(n=C + 1, size=2, seed=0)
+@example(n=C + 1, size=3, seed=0)
+@example(n=C + 1, size=4, seed=0)
+@example(n=C + 1, size=5, seed=0)
 def test_chunked_image_projection_equals_the_flattened_product(n, size, seed):
-    assert PROJECTION_CHUNK_ROWS == 4096  # the edge counts above assume it
     config = ReservoirConfig(
         method=FillMethod.from_id(4), params=STABLE_PARAMS, reservoir_size=size
     )
