@@ -505,7 +505,7 @@ def cmd_optimize(config: dict, s: Settings, resume_path: str | None = None) -> i
 
     trace_path = out / "trace.csv"
     columns = [f"best_x{i}" for i in range(swarm.gbest_position.size)]
-    rows = ([rec.iteration, rec.fitness, *rec.position] for rec in swarm.trace)
+    rows = ([i, rec.fitness, *rec.position] for i, rec in enumerate(swarm.trace))
     trace = _csv(trace_path, digest, ["iteration", "best_fitness", *columns], rows)
     best = rpso.params_from_position(swarm.gbest_position)
     best_path = out / "best_params.yaml"
@@ -605,8 +605,12 @@ def cmd_analyze(config: dict, s: Settings) -> int:
     ]
     spearman_line = "spearman_apen_m2_r0.025_vs_accuracy: "
     rho = analysis.spearman_correlation(*zip(*valid)) if len(valid) >= 3 else None
-    if rho is None:
+    if not s.with_accuracy:
         spearman_line += "not computed (needs accuracy column)"
+    elif rho is None:
+        spearman_line += (
+            f"not computed ({len(valid)} of {len(table)} points have both values, needs 3)"
+        )
     elif math.isnan(rho):  # the rank correlation of a constant column is undefined
         spearman_line += "not computed (constant column)"
     else:

@@ -152,11 +152,13 @@ def _read_idx(path, kind: str) -> np.ndarray:
 
 
 def load_idx(images_path, labels_path) -> LabeledDataset:
-    """Parse an IDX image/label file pair into a dataset."""
+    """Parse an IDX image/label file pair into a dataset of at least one image."""
     images = _read_idx(images_path, "image")
     if images.shape[1:] != (28, 28):
         rows, cols = images.shape[1:]
         raise IdxFormatError(f"{images_path}: expected 28x28 images, header says {rows}x{cols}")
+    if images.shape[0] == 0:  # nothing could be trained or scored on it
+        raise IdxFormatError(f"{images_path}: holds no images")
     labels = _read_idx(labels_path, "label")
     if images.shape[0] != labels.shape[0]:
         raise IdxCountMismatchError(

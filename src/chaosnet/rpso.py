@@ -109,13 +109,13 @@ class SwarmConfig:
 class FitnessRecord:
     position: np.ndarray
     fitness: float
-    iteration: int
     wall_time: float
 
 
 @dataclass
 class Swarm:
-    """Swarm state, stored as arrays with one row per particle."""
+    """Swarm state, stored as arrays with one row per particle.  The global
+    best is the personal best of particle ``gbest_index``."""
 
     config: SwarmConfig
     rng: np.random.Generator
@@ -123,19 +123,28 @@ class Swarm:
     velocities: np.ndarray  # (n, d)
     pbest_positions: np.ndarray  # (n, d)
     pbest_fitness: np.ndarray  # (n,)
-    gbest_position: np.ndarray  # (d,)
-    gbest_fitness: float
     gbest_index: int
     iteration: int = 0
-    evaluations: int = 0
-    # run history, kept with the state so a checkpoint carries it
+    # run history, kept with the state so a checkpoint carries it; record i
+    # is the global best after iteration i (0 after initialization)
     trace: list[FitnessRecord] = field(default_factory=list)
     immigrant_counts: list[int] = field(default_factory=list)
 
+    @property
+    def gbest_position(self) -> np.ndarray:
+        return self.pbest_positions[self.gbest_index].copy()
+
+    @property
+    def gbest_fitness(self) -> float:
+        return float(self.pbest_fitness[self.gbest_index])
+
+    @property
+    def evaluations(self) -> int:
+        # every particle is scored at initialization and in every iteration
+        return self.config.particle_count * (self.iteration + 1)
+
     def record(self, wall_time: float = 0.0) -> FitnessRecord:
-        return FitnessRecord(
-            self.gbest_position.copy(), self.gbest_fitness, self.iteration, wall_time
-        )
+        return FitnessRecord(self.gbest_position, self.gbest_fitness, wall_time)
 
 
 def _score(swarm: Swarm, objective: Callable[[np.ndarray], float]) -> None:
@@ -147,15 +156,15 @@ def _score(swarm: Swarm, objective: Callable[[np.ndarray], float]) -> None:
         fitness[i] = float(objective(swarm.positions[i]))
         if not math.isfinite(fitness[i]):
             raise ValueError(f"the objective returned {fitness[i]} at {swarm.positions[i]}")
-    swarm.evaluations += n
+    # the best as it stood before the round, since the holder's own personal
+    # best may rise below; it moves only to a strictly greater one, the first
+    gbest_fitness = swarm.gbest_fitness
     improved = fitness > swarm.pbest_fitness
     swarm.pbest_positions[improved] = swarm.positions[improved]
     swarm.pbest_fitness[improved] = fitness[improved]
     best = int(np.argmax(swarm.pbest_fitness))
-    if swarm.pbest_fitness[best] > swarm.gbest_fitness:
+    if swarm.pbest_fitness[best] > gbest_fitness:
         swarm.gbest_index = best
-        swarm.gbest_fitness = float(swarm.pbest_fitness[best])
-        swarm.gbest_position = swarm.pbest_positions[best].copy()
 
 
 def init_swarm(objective: Callable[[np.ndarray], float], config: SwarmConfig) -> Swarm:
@@ -172,8 +181,6 @@ def init_swarm(objective: Callable[[np.ndarray], float], config: SwarmConfig) ->
         velocities=np.zeros((n, d)),
         pbest_positions=positions.copy(),
         pbest_fitness=np.full(n, FAILED_FITNESS),
-        gbest_position=positions[0].copy(),
-        gbest_fitness=FAILED_FITNESS,
         gbest_index=0,
     )
     _score(swarm, objective)
@@ -272,14 +279,10 @@ def save_checkpoint(swarm: Swarm, path) -> None:
         "pbest_positions": swarm.pbest_positions.tolist(),
         # fitness goes through repr(float) so -inf survives the JSON trip
         "pbest_fitness": [repr(float(v)) for v in swarm.pbest_fitness],
-        "gbest_position": swarm.gbest_position.tolist(),
-        "gbest_fitness": repr(float(swarm.gbest_fitness)),
         "gbest_index": swarm.gbest_index,
         "iteration": swarm.iteration,
-        "evaluations": swarm.evaluations,
         "trace": [
             {
-                "iteration": rec.iteration,
                 "fitness": repr(float(rec.fitness)),
                 "position": rec.position.tolist(),
                 "wall_time": rec.wall_time,
@@ -293,7 +296,8 @@ def save_checkpoint(swarm: Swarm, path) -> None:
 
 def load_checkpoint(path) -> Swarm:
     """The swarm a checkpoint holds.  A payload that does not fit its own
-    config raises ValueError, so a resumed run cannot go on from it."""
+    config raises ValueError, so a resumed run cannot go on from it.  The
+    copies an older format also held (gbest, evaluations) are ignored."""
     with open(path, "r", encoding="ascii") as fh:
         payload = json.load(fh)
     config = SwarmConfig(**payload["config"])
@@ -306,16 +310,12 @@ def load_checkpoint(path) -> Swarm:
         velocities=np.asarray(payload["velocities"], dtype=np.float64),
         pbest_positions=np.asarray(payload["pbest_positions"], dtype=np.float64),
         pbest_fitness=np.array([float(v) for v in payload["pbest_fitness"]]),
-        gbest_position=np.asarray(payload["gbest_position"], dtype=np.float64),
-        gbest_fitness=float(payload["gbest_fitness"]),
         gbest_index=int(payload["gbest_index"]),
         iteration=int(payload["iteration"]),
-        evaluations=int(payload["evaluations"]),
         trace=[
             FitnessRecord(
                 np.asarray(rec["position"], dtype=np.float64),
                 float(rec["fitness"]),
-                int(rec["iteration"]),
                 float(rec["wall_time"]),
             )
             for rec in payload["trace"]
@@ -329,15 +329,13 @@ def load_checkpoint(path) -> Swarm:
 def _check_state(swarm: Swarm) -> None:
     """Raise ValueError unless ``swarm`` is a state its own config can reach:
     arrays of (n, d), (n,) or (d,), a best index among the particles, a
-    history as long as its iteration and numbered 0..iteration, finite best
-    and trace fitness, and personal bests that are not NaN (-inf marks one
-    not scored yet)."""
+    history as long as its iteration, finite best and trace fitness, and
+    personal bests that are not NaN (-inf marks one not scored yet)."""
     config, k = swarm.config, swarm.iteration
     n, d = config.particle_count, config.dimensions
     shapes = [(name, getattr(swarm, name).shape, (n, d))
               for name in ("positions", "velocities", "pbest_positions")]
-    shapes += [("pbest_fitness", swarm.pbest_fitness.shape, (n,)),
-               ("gbest_position", swarm.gbest_position.shape, (d,))]
+    shapes += [("pbest_fitness", swarm.pbest_fitness.shape, (n,))]
     shapes += [(f"trace[{i}].position", rec.position.shape, (d,))
                for i, rec in enumerate(swarm.trace)]
     for name, shape, wanted in shapes:
@@ -347,14 +345,12 @@ def _check_state(swarm: Swarm) -> None:
         raise ValueError(f"gbest_index {swarm.gbest_index} is not one of the {n} particles")
     if not 0 <= k <= config.iterations:
         raise ValueError(f"iteration {k} is outside [0, {config.iterations}]")
-    found = (len(swarm.trace), len(swarm.immigrant_counts), swarm.evaluations)
-    if found != (k + 1, k, n * (k + 1)):
+    found = (len(swarm.trace), len(swarm.immigrant_counts))
+    if found != (k + 1, k):
         raise ValueError(
-            f"at iteration {k} the trace, immigrant counts and evaluations must "
-            f"number {k + 1}, {k} and {n * (k + 1)}, found {found}"
+            f"at iteration {k} the trace and immigrant counts must number "
+            f"{k + 1} and {k}, found {found}"
         )
-    if [rec.iteration for rec in swarm.trace] != list(range(k + 1)):
-        raise ValueError(f"the trace must number its records 0..{k}")
     fitness = [swarm.gbest_fitness, *(rec.fitness for rec in swarm.trace)]
     if not np.isfinite(fitness).all() or np.isnan(swarm.pbest_fitness).any():
         raise ValueError("gbest and trace fitness must be finite, and pbest_fitness not NaN")

@@ -30,6 +30,7 @@ from chaosnet.mnist import SplitPlan
 from chaosnet.network import TrainConfig
 
 from conftest import fail_writing
+from idx_writer import save_idx
 
 
 def run(*args):
@@ -216,11 +217,16 @@ def test_a_failed_run_leaves_no_output_dir(tmp_path, command):
     assert not (tmp_path / "new").exists()
 
 
-def test_a_label_above_9_exits_3(synthetic_data_dir, tmp_path, capsys):
-    folder = tmp_path / "data"
+def copy_of(synthetic_data_dir, folder):
+    """``folder``, made to hold a copy of the synthetic IDX files."""
     folder.mkdir()
     for path in synthetic_data_dir.iterdir():
         (folder / path.name).write_bytes(path.read_bytes())
+    return folder
+
+
+def test_a_label_above_9_exits_3(synthetic_data_dir, tmp_path, capsys):
+    folder = copy_of(synthetic_data_dir, tmp_path / "data")
     labels = folder / "t10k-labels-idx1-ubyte.gz"
     payload = bytearray(gzip.decompress(labels.read_bytes()))
     payload[8] = 12  # the first label, right after the 8-byte header
@@ -228,6 +234,27 @@ def test_a_label_above_9_exits_3(synthetic_data_dir, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(*train_smoke_args(folder, out)) == EXIT_DATA
     assert f"{labels}: label 12 at offset 8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "optimize", "grid", "analyze"])
+@pytest.mark.parametrize("empty", ["train", "t10k"])
+def test_an_idx_pair_of_no_images_exits_3(synthetic_data_dir, tmp_path, capsys, empty, command):
+    """A training or test set of 0 images is refused as it is read, before
+    anything is trained: train used to train, then divide by the 0 test
+    images (exit 1), and grid and analyze's accuracy column, and train on an
+    empty training set, exited 1 on an empty dataset."""
+    folder = copy_of(synthetic_data_dir, tmp_path / "data")
+    images = folder / f"{empty}-images-idx3-ubyte.gz"
+    nothing = mnist.LabeledDataset(np.zeros((0, 28, 28), np.uint8), np.zeros(0, np.uint8))
+    save_idx(nothing, images, folder / f"{empty}-labels-idx1-ubyte.gz")
+    out = tmp_path / "out"
+    args = {
+        "train": train_smoke_args, "optimize": optimize_smoke_args, "grid": grid_smoke_args,
+        "analyze": analyze_accuracy_args,
+    }[command](folder, out)
+    assert run(*args) == EXIT_DATA
+    assert f"{images}: holds no images" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -493,26 +520,25 @@ def test_optimize_resume_from_malformed_checkpoint_exits_3(
         ("positions", lambda payload: [[1.0, 2.0]]),
         ("velocities", lambda payload: payload["velocities"][:1]),
         ("pbest_fitness", lambda payload: payload["pbest_fitness"][:2]),
-        ("gbest_position", lambda payload: payload["gbest_position"][:5]),
         ("trace", lambda payload: [{**rec, "position": [0.5]} for rec in payload["trace"]]),
         ("gbest_index", lambda payload: 7),
         ("iteration", lambda payload: -3),
         ("iteration", lambda payload: 3),
         ("trace", lambda payload: []),
         ("immigrant_counts", lambda payload: []),
-        ("evaluations", lambda payload: payload["evaluations"] + 1),
-        # each resumed with exit 0 and wrote "fitness: .nan" or a row numbered 7
-        ("gbest_fitness", lambda payload: "nan"),
+        # each resumed with exit 0 and wrote "fitness: .nan"
         ("pbest_fitness", lambda payload: ["nan"] * len(payload["pbest_fitness"])),
         ("trace", lambda payload: [{**rec, "fitness": "nan"} for rec in payload["trace"]]),
-        ("trace", lambda payload: [{**rec, "iteration": 7 * i}
-                                   for i, rec in enumerate(payload["trace"])]),
+        # the global best is the holder's personal best, which is always scored
+        ("pbest_fitness", lambda payload: [
+            "-inf" if i == payload["gbest_index"] else v
+            for i, v in enumerate(payload["pbest_fitness"])
+        ]),
     ],
     ids=[
-        "positions", "velocities", "pbest_fitness", "gbest_position", "trace_position",
+        "positions", "velocities", "pbest_fitness", "trace_position",
         "gbest_index", "iteration_below_0", "iteration_past_the_end", "trace",
-        "immigrant_counts", "evaluations", "gbest_fitness_nan", "pbest_fitness_nan",
-        "trace_fitness_nan", "trace_iterations_0_7",
+        "immigrant_counts", "pbest_fitness_nan", "trace_fitness_nan", "gbest_holder_unscored",
     ],
 )
 def test_optimize_resume_from_a_checkpoint_its_config_cannot_reach_exits_3(
@@ -632,6 +658,16 @@ def test_analyze_poincare_csv_layout(tmp_path):
     assert [[float(v) for v in ln.split(",")] for ln in lines[2:]] == pairs.tolist()
 
 
+def test_analyze_overflowing_poincare_orbit_exits_4(tmp_path, capsys):
+    """The Poincare section iterates the configured map itself: at a1 = 2.0
+    method 4, which does not clamp, overflows, so analyze exits 4 and writes
+    nothing, though its sweep flags an overflowing point and goes on."""
+    out = tmp_path / "ana"
+    assert run(*analyze_smoke_args(out), "--set", "params.a1=2.0") == EXIT_OVERFLOW
+    assert "map overflow: map iterate 19 is non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def analyze_accuracy_args(synthetic_data_dir, out_dir, *extra):
     # four sweep points, each trained on the optimization split
     return analyze_smoke_args(out_dir) + [
@@ -662,6 +698,26 @@ def test_analyze_constant_accuracy_column_computes_no_spearman(synthetic_data_di
     assert run(*args) == EXIT_OK
     summary = (out / "summary.txt").read_text()
     assert "spearman_apen_m2_r0.025_vs_accuracy: not computed (constant column)" in summary
+
+
+@pytest.mark.parametrize(
+    "with_accuracy, line",
+    [
+        ("false", "not computed (needs accuracy column)"),
+        # said "needs accuracy column", though the column was computed
+        ("true", "not computed (2 of 2 points have both values, needs 3)"),
+    ],
+    ids=["accuracy_off", "accuracy_on"],
+)
+def test_analyze_summary_names_why_spearman_is_missing(
+    synthetic_data_dir, tmp_path, with_accuracy, line
+):
+    out = tmp_path / "ana"
+    args = analyze_accuracy_args(synthetic_data_dir, out, "--set", "sweep.hi=0.9")
+    assert run(*args, "--set", f"sweep.with_accuracy={with_accuracy}") == EXIT_OK
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[1] == "sweep_points: 2"
+    assert summary[-1] == f"spearman_apen_m2_r0.025_vs_accuracy: {line}"
 
 
 def test_analyze_scores_a_diverging_point_0_as_the_search_does(synthetic_data_dir, tmp_path):

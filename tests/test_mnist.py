@@ -204,6 +204,15 @@ def test_a_label_above_9_raises_naming_file_offset_and_value(tmp_path):
     assert str(caught.value) == f"{tmp_path / 'labs'}: label 12 at offset 11 is not a digit 0-9"
 
 
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+def test_a_pair_of_no_images_raises_naming_the_image_file(tmp_path, suffix):
+    images, labels = tmp_path / f"imgs{suffix}", tmp_path / f"labs{suffix}"
+    save_idx(tiny_dataset(0), images, labels)
+    with pytest.raises(IdxFormatError) as caught:
+        load_idx(images, labels)
+    assert str(caught.value) == f"{images}: holds no images"
+
+
 def test_unexpected_geometry_raises(tmp_path):
     images = np.zeros((2, 32, 32), dtype=np.uint8)
     header = struct.pack(">iiii", 2051, 2, 32, 32)

@@ -112,10 +112,12 @@ class FixedDraws:
 
 
 def manual_swarm(position, velocity, pbest, gbest, draws, lower=-5.0, upper=5.0):
+    """Particle 0 at ``position`` with ``velocity`` and ``pbest``; particle 1
+    rests at ``gbest`` and holds the global best."""
     config = SwarmConfig(
         lower=np.array([lower]),
         upper=np.array([upper]),
-        particle_count=1,
+        particle_count=2,
         iterations=1,
         immigrant_fraction=0.0,
         rng_seed=0,
@@ -123,15 +125,12 @@ def manual_swarm(position, velocity, pbest, gbest, draws, lower=-5.0, upper=5.0)
     return Swarm(
         config=config,
         rng=FixedDraws(*draws),
-        positions=np.array([[position]]),
-        velocities=np.array([[velocity]]),
-        pbest_positions=np.array([[pbest]]),
-        pbest_fitness=np.array([-1e9]),
-        gbest_position=np.array([gbest]),
-        gbest_fitness=-1e9,
-        gbest_index=0,
+        positions=np.array([[position], [gbest]]),
+        velocities=np.array([[velocity], [0.0]]),
+        pbest_positions=np.array([[pbest], [gbest]]),
+        pbest_fitness=np.array([-1e9, -1e9]),
+        gbest_index=1,
         iteration=0,
-        evaluations=0,
     )
 
 
@@ -164,12 +163,34 @@ def test_out_of_bounds_particle_is_clamped_with_zero_velocity():
 
 
 def test_pso_step_updates_personal_and_global_best():
-    swarm = manual_swarm(0.2, 0.0, 0.2, 0.2, draws=(0.5, 0.5))
-    swarm.pbest_fitness = np.array([float(-(0.2 - 0.3) ** 2)])
-    swarm.gbest_fitness = float(-(0.2 - 0.3) ** 2)
+    """Both particles start at 0.2, scored -(0.2 - 0.3)^2; particle 0 moves by
+    its inertia 0.5 * 0.1 to 0.25, scores better and takes the global best."""
+    swarm = manual_swarm(0.2, 0.1, 0.2, 0.2, draws=(0.0, 0.0))
+    swarm.pbest_fitness[:] = -((0.2 - 0.3) ** 2)
     pso_step(swarm, lambda p: float(-((p[0] - 0.3) ** 2)))
-    assert swarm.evaluations == 1
-    assert swarm.gbest_fitness >= -(0.2 - 0.3) ** 2
+    assert swarm.pbest_positions[:, 0].tolist() == [0.25, 0.2]
+    assert swarm.pbest_fitness[0] == -((0.25 - 0.3) ** 2)
+    assert swarm.gbest_index == 0
+    assert swarm.gbest_fitness == swarm.pbest_fitness[0]
+    assert swarm.gbest_position.tolist() == [0.25]
+    assert swarm.evaluations == 2 * 2  # the initial round and this step
+
+
+@pytest.mark.parametrize(
+    "holder_best, gbest_index",
+    [(1.0, 1), (0.5, 0)],
+    ids=["a_tie_keeps_the_holder", "a_rise_goes_to_the_first_best"],
+)
+def test_global_best_moves_only_above_the_value_it_held(holder_best, gbest_index):
+    """Both particles score 1.0.  When particle 1 already held 1.0, particle
+    0 only ties it and particle 1 keeps the global best.  When it held 0.5,
+    both rise to 1.0 and the first of them, particle 0, takes it."""
+    swarm = manual_swarm(0.2, 0.0, 0.2, 0.7, draws=(0.0, 0.0))
+    swarm.pbest_fitness[1] = holder_best
+    pso_step(swarm, lambda p: 1.0)
+    assert swarm.pbest_fitness.tolist() == [1.0, 1.0]
+    assert swarm.gbest_index == gbest_index
+    assert swarm.gbest_position.tolist() == [[0.2], [0.7]][gbest_index]
 
 
 @pytest.mark.parametrize(
@@ -281,7 +302,6 @@ def test_trace_has_one_record_per_iteration_plus_init():
     config = box_config(iterations=12)
     result = optimize(sphere, config)
     assert len(result.trace) == 13
-    assert [r.iteration for r in result.trace] == list(range(13))
     assert len(result.immigrant_counts) == 12
 
 
@@ -335,14 +355,13 @@ def assert_same_run(resumed, full):
     assert resumed.immigrant_counts == full.immigrant_counts
     assert len(resumed.trace) == len(full.trace)
     for got, want in zip(resumed.trace, full.trace):
-        assert got.iteration == want.iteration
         assert got.fitness == want.fitness
         assert np.array_equal(got.position, want.position)
 
 
-def interrupt_and_resume(config, stop, path):
+def interrupt(config, stop, path):
     """Run ``optimize`` and stop it right after it saves the checkpoint of
-    iteration ``stop``, then resume from that checkpoint."""
+    iteration ``stop``."""
 
     def save_then_abort(swarm, path):
         save_checkpoint(swarm, path)
@@ -353,6 +372,10 @@ def interrupt_and_resume(config, stop, path):
         patch.setattr(rpso, "save_checkpoint", save_then_abort)
         with pytest.raises(_Abort):
             optimize(sphere, config, checkpoint_path=path)
+
+
+def interrupt_and_resume(config, stop, path):
+    interrupt(config, stop, path)
     return resume(sphere, load_checkpoint(path))
 
 
@@ -407,6 +430,42 @@ def test_checkpoint_round_trip_preserves_swarm(tmp_path):
     assert back.iteration == swarm.iteration
     # the restored generator continues the exact random stream
     assert back.rng.random() == swarm.rng.random()
+
+
+def test_checkpoint_holds_each_fact_once(tmp_path):
+    """The global best is the personal best of gbest_index, the evaluation
+    count follows from the iteration, and a trace record's index is its
+    place; none of them is stored beside what it copies."""
+    swarm = optimize(sphere, box_config(iterations=2))
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(swarm, path)
+    payload = json.loads(path.read_text())
+    assert sorted(payload) == [
+        "config", "gbest_index", "immigrant_counts", "iteration", "pbest_fitness",
+        "pbest_positions", "positions", "rng_state", "trace", "velocities",
+    ]
+    assert [sorted(rec) for rec in payload["trace"]] == [["fitness", "position", "wall_time"]] * 3
+
+
+def test_a_checkpoint_with_the_older_copies_resumes_the_same_run(tmp_path):
+    """A checkpoint that also holds the global best's position and fitness,
+    the evaluation count and each trace record's index, as an older format
+    did, resumes as one without them."""
+    config = box_config(iterations=6, particle_count=5, rng_seed=4)
+    full = optimize(sphere, config)
+    path = tmp_path / "checkpoint.json"
+    interrupt(config, 2, path)
+    payload = json.loads(path.read_text())
+    best = payload["gbest_index"]
+    payload |= {
+        "gbest_position": payload["pbest_positions"][best],
+        "gbest_fitness": payload["pbest_fitness"][best],
+        "evaluations": 5 * 3,
+    }
+    for i, rec in enumerate(payload["trace"]):
+        rec["iteration"] = i
+    path.write_text(json.dumps(payload))
+    assert_same_run(resume(sphere, load_checkpoint(path)), full)
 
 
 def test_interrupted_checkpoint_write_keeps_the_previous_one(tmp_path, monkeypatch):
