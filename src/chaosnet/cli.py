@@ -44,7 +44,7 @@ from chaosnet.files import write_atomic
 from chaosnet.maps import MAP_PARAM_NAMES, MapOverflowError, MapParams
 from chaosnet.mnist import N_CLASSES, IdxFormatError, SplitPlan, split_indices
 from chaosnet.network import Architecture, TrainConfig, TrainingDivergedError
-from chaosnet.reservoir import MODES, FillMethod, ReservoirConfig, valid_sine_b
+from chaosnet.reservoir import MODES, FillMethod, ReservoirConfig, image_chunks, valid_sine_b
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -524,6 +524,15 @@ def cmd_optimize(config: dict, s: Settings, resume_path: str | None = None) -> i
 
 
 def cmd_train(config: dict, s: Settings) -> int:
+    """Retrain on the training set, score the test set, save the model.
+
+    The headers of the four IDX files and both label files are checked
+    first (:func:`mnist.open_mnist`); the images are then read from their
+    files one :func:`~chaosnet.reservoir.image_chunks` block at a time, the
+    training blocks straight into the projection of :func:`network.train`
+    and the test blocks straight into :meth:`NetworkModel.predict`, so
+    neither image stack is ever held.
+    """
     # the model's place is checked before anything is written or trained; a
     # missing parent is created with the model, as output_dir is
     model_path = s.model_path or s.output_dir / "model.json"
@@ -533,16 +542,23 @@ def cmd_train(config: dict, s: Settings) -> int:
         _directory(model_path.parent, "model_path's parent")
     out = _output_dir(s)
     manifest_path, text, digest = manifest(config, out, "train")
-    train_ds, test_ds = _load_datasets(s)
+    (train_images, train_labels), (test_images, test_labels) = mnist.open_mnist(s.data_dir)
+    train_labels, test_labels = train_labels[: s.subset], test_labels[: s.subset]
+
+    def blocks(images: mnist.IdxImages, labels: np.ndarray):
+        return images.blocks(image_chunks(len(labels), s.mode))
 
     model = network.train(
-        train_ds.images, train_ds.labels, s.architecture, s.reservoir, s.train, mode=s.mode
+        blocks(train_images, train_labels), train_labels, s.architecture, s.reservoir, s.train,
+        mode=s.mode,
     )
     # one projection of the test set gives both the confusion and the accuracy
-    predictions = model.predict(test_ds.images, s.mode)
+    predictions = np.concatenate(
+        [model.predict(block, s.mode) for block in blocks(test_images, test_labels)]
+    )
     confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    np.add.at(confusion, (test_ds.labels.astype(np.int64), predictions), 1)
-    accuracy = int(np.trace(confusion)) / len(test_ds)
+    np.add.at(confusion, (test_labels.astype(np.int64), predictions), 1)
+    accuracy = int(np.trace(confusion)) / len(test_labels)
 
     model.training_meta["manifest_sha256"] = digest  # the model cites its run, as metrics do
     model_path.parent.mkdir(parents=True, exist_ok=True)
@@ -551,15 +567,15 @@ def cmd_train(config: dict, s: Settings) -> int:
         "architecture": s.architecture.describe(),
         "method": s.method.id,
         "test_accuracy": accuracy,
-        "test_size": len(test_ds),
-        "train_size": len(train_ds),
+        "test_size": len(test_labels),
+        "train_size": len(train_labels),
         "epoch_losses": model.training_meta["epoch_losses"],
         "confusion": confusion.tolist(),
         "manifest_sha256": digest,
     }
     metrics_path = out / "metrics.json"
     _publish((manifest_path, text), [(metrics_path, json.dumps(metrics, indent=1))])
-    print(f"test accuracy {accuracy:.4f} on {len(test_ds)} samples")
+    print(f"test accuracy {accuracy:.4f} on {len(test_labels)} samples")
     print(f"wrote {model_path}, {metrics_path}, {manifest_path}")
     return EXIT_OK
 

@@ -260,7 +260,7 @@ class NetworkModel:
 
 
 def train(
-    images: np.ndarray,
+    images,
     labels: np.ndarray,
     architecture: Architecture,
     reservoir_config,
@@ -269,7 +269,13 @@ def train(
 ) -> NetworkModel:
     """Project the dataset, fit normalization stats, train the head by SGD.
 
-    ``images`` are (N, 28, 28) uint8 grids, projected once: the statistics
+    ``images`` are the N = len(labels) (N, 28, 28) uint8 grids, or an
+    iterable that yields them in order in the blocks of
+    :func:`~chaosnet.reservoir.image_chunks` (N, ``mode``), so a caller
+    reading them from a file never holds the stack; an array is sliced into
+    those blocks.  Each block is projected in one piece, exactly as inside
+    the whole stack, into one N x P array of pre-activations; a block of
+    another length, or one more block, raises ValueError.  The statistics
     are read from the pre-activations, which are then squashed in place, so
     only N x P floats are held.  Deterministic given ``train_config.rng_seed``:
     one generator drives both weight init and batch shuffling.
@@ -280,7 +286,19 @@ def train(
     if reservoir_config.reservoir_size != architecture.reservoir_size:
         raise ValueError("reservoir config and architecture disagree on P")
     reservoir = Reservoir(reservoir_config)
-    z = reservoir.preactivation(images, mode)
+    if isinstance(images, np.ndarray):
+        blocks = (images[start:stop] for start, stop in image_chunks(len(images), mode))
+    else:
+        blocks = iter(images)
+    z = np.empty((len(labels), architecture.reservoir_size), dtype=np.float64)
+    for start, stop in image_chunks(len(labels), mode):
+        block = next(blocks, None)
+        if block is None or len(block) != stop - start:
+            found = "none" if block is None else f"{len(block)} images"
+            raise ValueError(f"images {start}:{stop} of {len(labels)} came as {found}")
+        z[start:stop] = reservoir.preactivation(block, mode)
+    if next(blocks, None) is not None:  # also runs a reader's last check
+        raise ValueError(f"more images than the {len(labels)} labels")
     z_min, z_max = z.min(axis=0), z.max(axis=0)
     features = _squash(z, z_min, z_max)
 

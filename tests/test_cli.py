@@ -29,7 +29,7 @@ from chaosnet.cli import (
 from chaosnet.mnist import SplitPlan
 from chaosnet.network import TrainConfig
 
-from conftest import fail_writing
+from conftest import fail_writing, make_band_images
 from idx_writer import save_idx
 
 
@@ -116,6 +116,35 @@ def test_train_projects_each_dataset_once(synthetic_data_dir, tmp_path, monkeypa
     metrics = json.loads((out / "metrics.json").read_text())
     confusion = np.asarray(metrics["confusion"])
     assert metrics["test_accuracy"] == np.trace(confusion) / metrics["test_size"]
+
+
+def test_train_command_holds_no_image_stack(tmp_path):
+    """``train`` (784:25:10, 1 epoch) on 60k/10k gzip IDX files holds the
+    60k x 25 pre-activations and one projection buffer, not the 47 + 7.8 MB
+    of uint8 images: the files are read one projection block at a time.
+    Reading both stacks whole peaked at 76.7 MB."""
+    import tracemalloc
+
+    from chaosnet.reservoir import INPUT_DIM, PROJECTION_CHUNK_ROWS
+
+    data = tmp_path / "data"
+    data.mkdir()
+    for prefix, count, seed in (("train", 60_000, 1), ("t10k", 10_000, 2)):
+        images, labels = make_band_images(count, seed)
+        save_idx(mnist.LabeledDataset(images, labels),
+                 data / f"{prefix}-images-idx3-ubyte.gz", data / f"{prefix}-labels-idx1-ubyte.gz")
+    del images, labels
+    p = 25
+    args = ["train", *common_flags(data, tmp_path / "out"),
+            "--set", f"architecture.P={p}", "--set", "train.max_epochs=1"]
+    tracemalloc.start()
+    try:
+        assert run(*args) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 8 * 60_000 * p + 8 * INPUT_DIM * PROJECTION_CHUNK_ROWS + 6e6
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
 
 def test_train_missing_data_dir_exits_3(tmp_path):
@@ -255,6 +284,93 @@ def test_an_idx_pair_of_no_images_exits_3(synthetic_data_dir, tmp_path, capsys, 
     }[command](folder, out)
     assert run(*args) == EXIT_DATA
     assert f"{images}: holds no images" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def rewrite(path, edit):
+    """Replace the gzip IDX file ``path`` by ``edit`` of its uncompressed bytes."""
+    path.write_bytes(gzip.compress(edit(gzip.decompress(path.read_bytes()))))
+
+
+def recount(payload, count, item):
+    """``payload`` cut to ``count`` items of ``item`` bytes, its header saying so."""
+    header = 16 if item > 1 else 8
+    return payload[:4] + count.to_bytes(4, "big") + payload[8:header + count * item]
+
+
+MAGIC = {"images": mnist.IMAGE_MAGIC, "labels": mnist.LABEL_MAGIC}
+
+
+@pytest.mark.parametrize("prefix", ["train", "t10k"])
+@pytest.mark.parametrize(
+    "kind, fault",
+    [("images", "magic"), ("labels", "magic"), ("images", "no images"),
+     ("images", "count"), ("labels", "count"), ("labels", "label 12")],
+)
+def test_train_refuses_a_header_or_label_fault_before_projecting(
+    synthetic_data_dir, tmp_path, monkeypatch, capsys, prefix, kind, fault
+):
+    """The headers of all four files and both label files are checked before
+    an image is projected, so a fault in the test files costs no training."""
+    from chaosnet.reservoir import Reservoir
+
+    folder = copy_of(synthetic_data_dir, tmp_path / "data")
+    path = folder / f"{prefix}-{kind}-idx{3 if kind == 'images' else 1}-ubyte.gz"
+    images = folder / f"{prefix}-images-idx3-ubyte.gz"
+    labels = folder / f"{prefix}-labels-idx1-ubyte.gz"
+    count = {"train": 200, "t10k": 50}[prefix]
+    item = 784 if kind == "images" else 1
+    if fault == "magic":
+        other = MAGIC["labels" if kind == "images" else "images"]
+        rewrite(path, lambda b: other.to_bytes(4, "big") + b[4:])
+        expected = f"{path}: expected {kind[:-1]} magic {MAGIC[kind]} at offset 0, found {other}"
+    elif fault == "no images":
+        rewrite(path, lambda b: recount(b, 0, item))
+        expected = f"{path}: holds no images"
+    elif fault == "count":
+        rewrite(path, lambda b: recount(b, count - 1, item))
+        n_images, n_labels = (count - 1, count) if kind == "images" else (count, count - 1)
+        expected = f"{labels}: {n_labels} labels for {n_images} images in {images}"
+    else:
+        rewrite(path, lambda b: b[:8] + bytes([12]) + b[9:])
+        expected = f"{path}: label 12 at offset 8 is not a digit 0-9"
+    projected = []
+    original = Reservoir.preactivation
+    monkeypatch.setattr(Reservoir, "preactivation",
+                        lambda self, *args: projected.append(args) or original(self, *args))
+    out = tmp_path / "out"
+    assert run(*train_smoke_args(folder, out)) == EXIT_DATA
+    assert expected in capsys.readouterr().err
+    assert projected == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subset", [True, False], ids=["subset", "whole"])
+@pytest.mark.parametrize(
+    "prefix, fault", [("train", "cut"), ("t10k", "cut"), ("train", "long")]
+)
+def test_train_refuses_an_image_file_of_another_length(
+    synthetic_data_dir, tmp_path, capsys, prefix, fault, subset
+):
+    """An image body cut short mid-file, or running on past its header's
+    count, exits 3 when its images are read, with both byte counts; under
+    ``--subset`` too, which reads only the first images of the training file
+    but still the whole file."""
+    folder = copy_of(synthetic_data_dir, tmp_path / "data")
+    path = folder / f"{prefix}-images-idx3-ubyte.gz"
+    length = len(gzip.decompress(path.read_bytes()))
+    found = length - 100 if fault == "cut" else length + 4
+    rewrite(path, lambda b: b[:-100] if fault == "cut" else b + b"tail")
+    count = {"train": 200, "t10k": 50}[prefix]
+    out = tmp_path / "out"
+    args = train_smoke_args(folder, out)
+    if not subset:
+        del args[args.index("--subset") : args.index("--subset") + 2]
+    assert run(*args) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {path}: expected {length} bytes for {count} images of 28x28, "
+        f"found {found} (data ends at offset {found})\n"
+    )
     assert not out.exists()
 
 
@@ -1047,6 +1163,16 @@ def test_bad_swarm_size_exits_2(synthetic_data_dir, tmp_path):
     assert code == EXIT_CONFIG
 
 
+def record_reads(monkeypatch) -> list:
+    """The list to which each read of the IDX files, whole or a block at a
+    time, appends its arguments."""
+    reads = []
+    for name in ("load_mnist", "open_mnist"):
+        read = getattr(mnist, name)
+        monkeypatch.setattr(mnist, name, lambda *args, read=read: reads.append(args) or read(*args))
+    return reads
+
+
 @pytest.mark.parametrize(
     "command, expression",
     [
@@ -1141,9 +1267,7 @@ def test_bad_value_under_valid_key_exits_2_before_reading_data(
     synthetic_data_dir, tmp_path, monkeypatch, command, expression
 ):
     out = tmp_path / "o"
-    reads = []
-    load = mnist.load_mnist
-    monkeypatch.setattr(mnist, "load_mnist", lambda *args: reads.append(args) or load(*args))
+    reads = record_reads(monkeypatch)
     sets = [expression] if isinstance(expression, str) else expression
     flags = [arg for e in sets for arg in ("--set", e)]
     code = run(command, *common_flags(synthetic_data_dir, out), *flags)
@@ -1197,8 +1321,7 @@ def test_value_of_another_type_exits_2_before_reading_data(
 ):
     out = tmp_path / "o"
     monkeypatch.chdir(tmp_path)
-    reads = []
-    monkeypatch.setattr(mnist, "load_mnist", lambda *args: reads.append(args))
+    reads = record_reads(monkeypatch)
     code = run(command, *common_flags(synthetic_data_dir, out), "--set", expression)
     assert code == EXIT_CONFIG
     assert reads == []
@@ -1214,8 +1337,7 @@ def test_config_file_mapping_for_a_value_exits_2_before_reading_data(
     cfg.write_text("seed: {x: 1}\n")
     out = tmp_path / "o"
     monkeypatch.chdir(tmp_path)
-    reads = []
-    monkeypatch.setattr(mnist, "load_mnist", lambda *args: reads.append(args))
+    reads = record_reads(monkeypatch)
     code = run("train", *common_flags(synthetic_data_dir, out), "--config", str(cfg))
     assert code == EXIT_CONFIG
     assert reads == []

@@ -305,6 +305,49 @@ def test_blockwise_streamed_predict_equals_the_whole_stack(monkeypatch, n):
     assert _blockwise_equals_whole_stack(model, images, "streaming") == -(-n // 3)
 
 
+@pytest.mark.parametrize("size", [1, 25, 200])
+def test_training_on_image_blocks_equals_training_on_the_array(size):
+    """``train`` fed an image array, and fed its ``image_chunks`` blocks one
+    at a time as ``chaosnet train`` reads them from a file, fits the same
+    statistics, weights and epoch losses, bit for bit, at every P: each
+    block is projected as inside the whole stack (3,073 rows, 3 chunks)."""
+    n = 2 * reservoir.PROJECTION_CHUNK_ROWS + 1
+    rng = np.random.default_rng(size)
+    images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+    labels = rng.integers(0, 10, size=n).astype(np.uint8)
+    config = ReservoirConfig(FillMethod.from_id(4), STABLE_PARAMS, size)
+    bounds = reservoir.image_chunks(n, "materialized")
+    assert len(bounds) == 3
+    blocks = (images[start:stop] for start, stop in bounds)
+    fits = [train(fed, labels, Architecture(size), config, TrainConfig(max_epochs=2))
+            for fed in (images, blocks)]
+    z = Reservoir(config).preactivation(images)
+    for model in fits:
+        assert model.z_min.tobytes() == z.min(axis=0).tobytes()
+        assert model.z_max.tobytes() == z.max(axis=0).tobytes()
+    (w_array,), (w_blocks,) = (model.classifier.weights for model in fits)
+    assert w_array.tobytes() == w_blocks.tobytes()
+    losses = [model.training_meta["epoch_losses"] for model in fits]
+    assert losses[0] == losses[1] and len(losses[0]) == 2
+
+
+@pytest.mark.parametrize(
+    "fed",
+    [
+        [np.zeros((9, 28, 28), np.uint8)],  # one image short
+        [np.zeros((10, 28, 28), np.uint8), np.zeros((1, 28, 28), np.uint8)],  # one block more
+        [],  # no block
+        np.zeros((9, 28, 28), np.uint8),  # an array one image short
+        np.zeros((11, 28, 28), np.uint8),  # an array one image long
+    ],
+    ids=["short-block", "extra-block", "no-block", "short-array", "long-array"],
+)
+def test_training_refuses_images_in_blocks_of_another_length(fed):
+    labels = np.arange(10, dtype=np.uint8)
+    with pytest.raises(ValueError, match="came as|more images than"):
+        train(fed, labels, Architecture(3), toy_reservoir_config(3), TrainConfig(max_epochs=0))
+
+
 def test_scoring_60k_images_holds_no_array_that_grows_with_n():
     """``evaluate`` (784:25:10) and ``predict`` (784:100:60:10) on 60k images
     stay under one projection buffer plus 4 MB; the 47 MB of uint8 images
