@@ -32,7 +32,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,7 @@ from chaosnet.files import write_atomic
 from chaosnet.maps import MAP_PARAM_NAMES, MapOverflowError, MapParams
 from chaosnet.mnist import N_CLASSES, IdxFormatError, SplitPlan, split_indices
 from chaosnet.network import Architecture, TrainConfig, TrainingDivergedError
-from chaosnet.reservoir import MODES, FillMethod, ReservoirConfig, image_chunks, valid_sine_b
+from chaosnet.reservoir import MODES, FillMethod, ReservoirConfig, valid_sine_b
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -527,11 +527,9 @@ def cmd_train(config: dict, s: Settings) -> int:
     """Retrain on the training set, score the test set, save the model.
 
     The headers of the four IDX files and both label files are checked
-    first (:func:`mnist.open_mnist`); the images are then read from their
-    files one :func:`~chaosnet.reservoir.image_chunks` block at a time, the
-    training blocks straight into the projection of :func:`network.train`
-    and the test blocks straight into :meth:`NetworkModel.predict`, so
-    neither image stack is ever held.
+    first (:func:`mnist.open_mnist`); :func:`network.train` and
+    :meth:`NetworkModel.predict` then read the images from their files one
+    block at a time, so neither image stack is ever held.
     """
     # the model's place is checked before anything is written or trained; a
     # missing parent is created with the model, as output_dir is
@@ -544,18 +542,14 @@ def cmd_train(config: dict, s: Settings) -> int:
     manifest_path, text, digest = manifest(config, out, "train")
     (train_images, train_labels), (test_images, test_labels) = mnist.open_mnist(s.data_dir)
     train_labels, test_labels = train_labels[: s.subset], test_labels[: s.subset]
-
-    def blocks(images: mnist.IdxImages, labels: np.ndarray):
-        return images.blocks(image_chunks(len(labels), s.mode))
+    train_images = replace(train_images, count=len(train_labels))
+    test_images = replace(test_images, count=len(test_labels))
 
     model = network.train(
-        blocks(train_images, train_labels), train_labels, s.architecture, s.reservoir, s.train,
-        mode=s.mode,
+        train_images, train_labels, s.architecture, s.reservoir, s.train, mode=s.mode
     )
     # one projection of the test set gives both the confusion and the accuracy
-    predictions = np.concatenate(
-        [model.predict(block, s.mode) for block in blocks(test_images, test_labels)]
-    )
+    predictions = model.predict(test_images, s.mode)
     confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     np.add.at(confusion, (test_labels.astype(np.int64), predictions), 1)
     accuracy = int(np.trace(confusion)) / len(test_labels)

@@ -229,33 +229,39 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
 
 @dataclass(frozen=True)
 class IdxImages:
-    """An IDX image file of 28x28 images whose header is read and checked
-    (see :func:`open_mnist`); its images are read later, by :meth:`blocks`."""
+    """The first ``count`` images (the header's count, or fewer) of an IDX
+    file of 28x28 images whose header is checked (see :func:`open_mnist`),
+    read later by :meth:`blocks`."""
 
     path: Path
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
 
     def blocks(self, bounds) -> Iterator[np.ndarray]:
-        """The images of each ``(start, stop)`` of ``bounds`` as a read-only
-        (stop - start, 28, 28) uint8 array, read from the file as it is
-        requested; ``bounds`` run on from 0 without a gap.  After the last
-        block the rest of the file is read, so a file whose length disagrees
-        with its header raises IdxTruncatedError however many images were
-        requested."""
+        """Each ``(start, stop)`` of the sequence ``bounds``, which run on
+        from 0 without a gap, as a read-only (stop - start, 28, 28) uint8
+        array read from the file when requested.  The rest of the file is read
+        before the last block is handed out, so a file whose length disagrees
+        with its header raises IdxTruncatedError even if no more is asked."""
         with _IdxReader(self.path, "image") as reader:
-            for start, stop in bounds:
-                yield reader.read(stop - start)
-            reader.finish()
+            for k, (start, stop) in enumerate(bounds, 1):
+                block = reader.read(stop - start)
+                if k == len(bounds):
+                    reader.finish()
+                yield block
 
 
 def _open_idx(images_path, labels_path) -> tuple[IdxImages, np.ndarray]:
     """The image file of an IDX pair, its header checked, and its labels, with
     every check of :func:`load_idx` but the length of the image file, which
-    :meth:`IdxImages.blocks` checks once it has read the images."""
+    :meth:`IdxImages.blocks` checks before it hands out the last block."""
     with _IdxReader(images_path, "image") as reader:
         _check_images(images_path, reader.dims)
     labels = _read_idx(labels_path, "label")
     _check_labels(images_path, reader.dims[0], labels_path, labels)
-    return IdxImages(images_path), labels
+    return IdxImages(images_path, reader.dims[0]), labels
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from chaosnet.files import write_atomic
 from chaosnet.maps import MapParams
-from chaosnet.mnist import N_CLASSES
+from chaosnet.mnist import N_CLASSES, IdxImages
 from chaosnet.reservoir import (
     INPUT_DIM, FillMethod, Reservoir, ReservoirConfig, image_chunks, sigmoid,
 )
@@ -235,28 +235,41 @@ class NetworkModel:
 
     def features(self, inputs: np.ndarray, mode: str = "materialized") -> np.ndarray:
         """Reservoir outputs for one 785-vector, (N, 785) rows or (N, 28, 28)
-        uint8 images; materialized images are projected in chunks, never
-        flattened as a whole (see :meth:`Reservoir.preactivation`)."""
+        uint8 images, projected in one piece by :meth:`Reservoir.preactivation`
+        and squashed with the fitted statistics."""
         return _squash(self.reservoir.preactivation(inputs, mode), self.z_min, self.z_max)
 
-    def predict(self, inputs: np.ndarray, mode: str = "materialized") -> np.ndarray:
+    def predict(self, inputs, mode: str = "materialized") -> np.ndarray:
         """The argmax label of every input, as an array (one label for one input).
 
-        An (N, 28, 28) image stack is scored one chunk of
-        :func:`~chaosnet.reservoir.image_chunks` at a time: the chunk is
-        projected, squashed and passed through the head, and only its labels
-        are kept, so no N-sized float array is held and a streamed stack
-        makes no extra orbit passes.  The labels equal those of the whole
-        stack's features, since each chunk is projected as inside the stack.
-        A vector or (N, 785) rows are scored in one pass.
+        A vector or (N, 785) rows are scored in one pass.  An (N, 28, 28)
+        image stack, or an :class:`~chaosnet.mnist.IdxImages`, is scored one
+        block of :func:`_preactivations` at a time: the block is squashed and
+        passed through the head, and only its labels are kept, so no N-sized
+        float array is held and a streamed stack makes no extra orbit passes.
         """
-        arr = np.asarray(inputs)
-        if arr.ndim != 3:
-            return self.classifier.predict(self.features(arr, mode))
-        labels = np.empty(len(arr), dtype=np.intp)
-        for start, stop in image_chunks(len(arr), mode):
-            labels[start:stop] = self.classifier.predict(self.features(arr[start:stop], mode))
+        if not isinstance(inputs, IdxImages) and np.ndim(inputs) != 3:
+            return self.classifier.predict(self.features(inputs, mode))
+        labels = np.empty(len(inputs), dtype=np.intp)
+        for start, stop, z in _preactivations(self.reservoir, inputs, mode):
+            labels[start:stop] = self.classifier.predict(_squash(z, self.z_min, self.z_max))
+            del z  # freed before the next block is projected
         return labels
+
+
+def _preactivations(reservoir: Reservoir, images, mode: str):
+    """``(start, stop, W @ Y)`` for each block of
+    :func:`~chaosnet.reservoir.image_chunks` (len(images), ``mode``), in order:
+    the one loop that cuts image stacks.  An array of images or rows is
+    sliced; an :class:`~chaosnet.mnist.IdxImages` is read from its file one
+    block at a time.  Each block is projected in one piece."""
+    bounds = image_chunks(len(images), mode)
+    if isinstance(images, IdxImages):
+        blocks = images.blocks(bounds)
+    else:
+        blocks = (images[start:stop] for start, stop in bounds)
+    for (start, stop), block in zip(bounds, blocks):
+        yield start, stop, reservoir.preactivation(block, mode)
 
 
 def train(
@@ -269,36 +282,27 @@ def train(
 ) -> NetworkModel:
     """Project the dataset, fit normalization stats, train the head by SGD.
 
-    ``images`` are the N = len(labels) (N, 28, 28) uint8 grids, or an
-    iterable that yields them in order in the blocks of
-    :func:`~chaosnet.reservoir.image_chunks` (N, ``mode``), so a caller
-    reading them from a file never holds the stack; an array is sliced into
-    those blocks.  Each block is projected in one piece, exactly as inside
-    the whole stack, into one N x P array of pre-activations; a block of
-    another length, or one more block, raises ValueError.  The statistics
-    are read from the pre-activations, which are then squashed in place, so
-    only N x P floats are held.  Deterministic given ``train_config.rng_seed``:
-    one generator drives both weight init and batch shuffling.
+    ``images`` are N = len(labels) (N, 28, 28) uint8 grids, (N, 785) rows or
+    the :class:`~chaosnet.mnist.IdxImages` of an IDX file, so a caller reading
+    them from a file never holds the stack; another N raises ValueError.  The
+    blocks of :func:`_preactivations` fill one N x P array of
+    pre-activations; the statistics are read from it, and it is then
+    squashed in place, so only N x P floats are held.  Deterministic given
+    ``train_config.rng_seed``: one generator drives both weight init and
+    batch shuffling.
     """
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("training dataset is empty")
+    if len(images) != len(labels):
+        raise ValueError(f"{len(images)} images need as many labels, got {len(labels)}")
     if reservoir_config.reservoir_size != architecture.reservoir_size:
         raise ValueError("reservoir config and architecture disagree on P")
     reservoir = Reservoir(reservoir_config)
-    if isinstance(images, np.ndarray):
-        blocks = (images[start:stop] for start, stop in image_chunks(len(images), mode))
-    else:
-        blocks = iter(images)
     z = np.empty((len(labels), architecture.reservoir_size), dtype=np.float64)
-    for start, stop in image_chunks(len(labels), mode):
-        block = next(blocks, None)
-        if block is None or len(block) != stop - start:
-            found = "none" if block is None else f"{len(block)} images"
-            raise ValueError(f"images {start}:{stop} of {len(labels)} came as {found}")
-        z[start:stop] = reservoir.preactivation(block, mode)
-    if next(blocks, None) is not None:  # also runs a reader's last check
-        raise ValueError(f"more images than the {len(labels)} labels")
+    for start, stop, block in _preactivations(reservoir, images, mode):
+        z[start:stop] = block
+        del block  # freed before the next block is projected
     z_min, z_max = z.min(axis=0), z.max(axis=0)
     features = _squash(z, z_min, z_max)
 

@@ -14,11 +14,13 @@ single input is streamed without a copy and its P sums are Python floats;
 a batch keeps a (P, M) numpy block.  Both give identical sums for the same
 row.
 
-A stack of (N, 28, 28) images is projected without a float copy of the
-stack: chunks of pixels are scaled into one reused buffer, (rows, 785) for
-the matrix product of materialized mode and (785, rows) for streaming.
-:func:`_write_inputs` writes the 785-slot layout for both buffers and for
-:func:`flatten_image` and :func:`flatten_images`.
+A stack of (N, 28, 28) uint8 images is projected in one piece: its pixels
+are scaled into one buffer, (N, 785) for the matrix product of
+materialized mode and (785, N) for streaming.  :func:`_write_inputs` writes
+the 785-slot layout for both buffers and for :func:`flatten_image` and
+:func:`flatten_images`.  :func:`image_chunks` is the chunk policy: the
+blocks in which ``network`` projects a stack, so that the float form of a
+whole stack is never held.
 A :class:`Reservoir` holds no trained state, only what its config
 determines: its matrix, and the post-warm-up map state of methods 3 and 4,
 so only its first streamed input runs the 10,000 discarded steps.
@@ -158,11 +160,25 @@ def _warm_state(config: ReservoirConfig) -> tuple[float, float]:
 
 
 def image_chunks(n: int, mode: str) -> list[tuple[int, int]]:
-    """(start, stop) of the ceil(n / most) near-equal chunks covering range(n)
-    in which ``mode`` projects a stack of n images, ``most`` being
+    """(start, stop) of the ceil(n / most) near-equal blocks covering range(n)
+    in which a stack of n images is projected, ``most`` being
     PROJECTION_CHUNK_ROWS (materialized) or STREAM_CHUNK_ROWS (streaming); one
-    empty chunk when n is 0.  A chunk of a stack is thus projected in one
-    piece, exactly as inside the whole stack."""
+    empty block when n is 0.
+
+    Streamed images are summed one by one, so any split streams them as the
+    whole stack does.  A materialized split equals the one-piece product
+    bit for bit when 2 <= P <= 192: every block of n > PROJECTION_CHUNK_ROWS
+    rows then holds at least PROJECTION_CHUNK_ROWS / 2 = 768 rows, and
+    OpenBLAS was measured to round a row alike in any block that large.
+    Blocks of about 640 rows or fewer broke that for P = 2-5 (a limit of
+    1024 splits 1025 rows as 512 + 513); that fits a switch to its
+    small-matrix dgemm below about 1e6 multiply-adds (rows x P x 785),
+    inferred from the mismatches, not from OpenBLAS's source.  Otherwise a
+    split agrees within a few ulps of the sum of absolute terms: numpy sends
+    P = 1 to gemv, whose rounding depends on the split, and past P = 192
+    OpenBLAS's AVX-512 dgemm rounds the rows at a call's edge apart (the
+    one-piece product itself changes with the number of BLAS threads).
+    """
     most = PROJECTION_CHUNK_ROWS if mode == "materialized" else STREAM_CHUNK_ROWS
     count = max(1, -(-n // most))
     bounds = [k * n // count for k in range(count + 1)]
@@ -299,41 +315,33 @@ class Reservoir:
     def preactivation(
         self, inputs: np.ndarray, mode: Literal["materialized", "streaming"] = "materialized"
     ) -> np.ndarray:
-        """W @ Y for one input vector, a batch of rows or a stack of images.
+        """W @ Y for one input vector, a batch of rows or a stack of images,
+        projected in one piece.
 
         ``inputs`` is one 785-slot vector, (N, 785) rows, or (N, 28, 28)
-        uint8 pixel grids.  The float form of an image
-        stack is never held.  Materialized images are projected in
-        ceil(N / PROJECTION_CHUNK_ROWS) near-equal chunks through one reused
-        float64 (rows, 785) buffer.  Streamed images go in
-        ceil(N / STREAM_CHUNK_ROWS) near-equal chunks through one reused
-        (785, rows) buffer, whose transpose takes the layout; each image is
-        streamed alone, so the result equals streaming
-        ``flatten_images(inputs)`` bit for bit.
-
-        N <= PROJECTION_CHUNK_ROWS is one call, as ``flatten_images(inputs) @
-        W.T``.  For larger N the chunked result equals that product bit for
-        bit when 2 <= P <= 192: each near-equal chunk then holds at least
-        PROJECTION_CHUNK_ROWS / 2 = 768 rows, and OpenBLAS was measured to
-        round a row alike in any chunk that large.  Chunks of about 640 rows
-        or fewer broke that for P = 2-5 (a limit of 1024 splits 1025 rows as
-        512 + 513); that fits a switch to its small-matrix dgemm below about
-        1e6 multiply-adds (rows x P x 785), inferred from the mismatches, not
-        from OpenBLAS's source.
-        Otherwise it agrees within a few ulps of the sum of absolute terms:
-        numpy sends P = 1 to gemv, whose rounding depends on the split, and
-        past P = 192 OpenBLAS's AVX-512 dgemm rounds the rows at a call's
-        edge apart (the one-call product itself changes with the number of
-        BLAS threads).
+        uint8 pixel grids, which are scaled into one float64 buffer: (N, 785)
+        for the matrix product, or (785, N) for streaming, written through
+        its transpose.  Either way the result equals that of
+        ``flatten_images(inputs)`` bit for bit.  The buffer holds N x 785
+        floats, so ``network`` projects a large stack in the blocks of
+        :func:`image_chunks`.
         """
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         arr = np.asarray(inputs)
         if arr.ndim == 3:
-            pixels = self._pixels(arr)
+            if arr.shape[1:] != (28, 28):
+                raise ValueError(f"expected (N, 28, 28) images, got shape {arr.shape}")
+            pixels = arr.reshape(len(arr), INPUT_DIM - 1)
             if mode == "materialized":
-                return self._project_images(pixels)
-            return self._stream_images(pixels)
+                # the matrix, the result, then the buffer: with the buffer first,
+                # the peak RSS of `chaosnet train` rose by about 7 MB
+                w_t = self.matrix().T
+                z = np.empty((len(arr), self.config.reservoir_size), dtype=np.float64)
+                rows = _write_inputs(pixels, np.empty((len(arr), INPUT_DIM)))
+                return np.matmul(rows, w_t, out=z)
+            columns = _write_inputs(pixels, np.empty((INPUT_DIM, len(arr))).T).T
+            return _stream_preactivation(self.config, self._warm(), columns).T
         arr = np.asarray(arr, dtype=np.float64)
         single = arr.ndim == 1
         if single:
@@ -346,35 +354,6 @@ class Reservoir:
             columns = np.ascontiguousarray(arr.T)
             z = _stream_preactivation(self.config, self._warm(), columns).T
         return z[0] if single else z
-
-    def _pixels(self, images: np.ndarray) -> np.ndarray:
-        """The (N, 784) pixel view of an (N, 28, 28) stack."""
-        if images.shape[1:] != (28, 28):
-            raise ValueError(f"expected (N, 28, 28) images, got shape {images.shape}")
-        return images.reshape(images.shape[0], INPUT_DIM - 1)
-
-    def _project_images(self, pixels: np.ndarray) -> np.ndarray:
-        w_t = self.matrix().T
-        n = pixels.shape[0]
-        z = np.empty((n, self.config.reservoir_size), dtype=np.float64)
-        chunks = image_chunks(n, "materialized")
-        buf = np.empty((max(b - a for a, b in chunks), INPUT_DIM), dtype=np.float64)
-        for start, stop in chunks:
-            rows = _write_inputs(pixels[start:stop], buf[: stop - start])
-            np.matmul(rows, w_t, out=z[start:stop])
-        return z
-
-    def _stream_images(self, pixels: np.ndarray) -> np.ndarray:
-        n = pixels.shape[0]
-        # (P, N) sums returned transposed, the layout of a whole-batch stream
-        z_t = np.empty((self.config.reservoir_size, n), dtype=np.float64)
-        chunks = image_chunks(n, "streaming")
-        buf = np.empty((INPUT_DIM, max(b - a for a, b in chunks)), dtype=np.float64)
-        for start, stop in chunks:
-            columns = buf[:, : stop - start]
-            _write_inputs(pixels[start:stop], columns.T)
-            z_t[:, start:stop] = _stream_preactivation(self.config, self._warm(), columns)
-        return z_t.T
 
 
 __all__ = [

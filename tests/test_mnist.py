@@ -2,6 +2,7 @@
 optimization split."""
 
 import gzip
+import itertools
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ from chaosnet.mnist import (
     DATA_DIR_ENV,
     IdxCountMismatchError,
     IdxFormatError,
+    IdxImages,
     IdxMagicError,
     IdxMissingError,
     IdxTruncatedError,
@@ -139,6 +141,21 @@ def test_bytes_past_the_header_count_raise_truncated_with_both_counts(tmp_path, 
     assert str(long) in message
     assert f"expected {len(payload)} bytes" in message
     assert f"found {len(payload) + 4}" in message
+
+
+@pytest.mark.parametrize("count", [4, 3], ids=["header-count", "fewer"])
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+def test_a_long_image_file_raises_before_its_last_block_is_handed_out(tmp_path, suffix, count):
+    """A consumer that takes only the blocks it asked for, as
+    ``zip(bounds, images.blocks(bounds))`` does, still has the whole file's
+    length checked, also when it asks for fewer images than the header's."""
+    payload = serialize_images(tiny_dataset(4).images)
+    long = tmp_path / f"long{suffix}"
+    long.write_bytes(gzip.compress(payload + b"tail") if suffix else payload + b"tail")
+    bounds = [(0, 2), (2, count)]
+    blocks = IdxImages(long, count).blocks(bounds)
+    with pytest.raises(IdxTruncatedError, match=f"found {len(payload) + 4} "):
+        list(itertools.islice(blocks, len(bounds)))
 
 
 @pytest.mark.parametrize(

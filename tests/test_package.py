@@ -1,8 +1,11 @@
 """The public names of the package and of its modules resolve, each has a
-caller outside the tests, and one module writes every file."""
+caller outside the tests, one module writes every file, one module cuts
+image stacks into blocks, and the README's exit-code table names real codes
+and tests."""
 
 import ast
 import importlib
+import itertools
 import re
 from pathlib import Path
 
@@ -108,3 +111,45 @@ def test_only_the_writer_writes_files():
     }
     assert writes.pop("files"), "the check no longer recognises the writer itself"
     assert not any(writes.values()), f"files written outside chaosnet.files: {writes}"
+
+
+def _calls(path: Path, name: str) -> list[int]:
+    """The lines of ``path`` that call ``name``, bare or as an attribute."""
+    return [node.lineno for node in ast.walk(_parse(path)) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_only_network_cuts_image_stacks_into_blocks():
+    """``network`` alone calls ``reservoir.image_chunks``, which ``reservoir``
+    defines: one loop cuts every image stack into blocks, and the reservoir
+    projects what it is given in one piece."""
+    calls = {path.stem: _calls(path, "image_chunks") for path in PACKAGE.glob("*.py")}
+    assert calls.pop("network"), "the check no longer recognises network's call"
+    assert not any(calls.values()), f"image_chunks called outside chaosnet.network: {calls}"
+
+
+def _exit_code_table() -> list[list[str]]:
+    """The cells of every row of the README's exit-code table."""
+    lines = (REPO / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| code | cause | commands | pinned by |") + 2  # past the rule
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    return [[cell.strip() for cell in row.strip("|").split(" | ")] for row in rows]
+
+
+def test_the_exit_code_table_names_real_codes_and_tests():
+    """Each row of the README's exit-code table gives one of ``cli``'s
+    ``EXIT_*`` codes, every code has its row, and each test it names exists."""
+    from chaosnet import cli
+
+    codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    table = _exit_code_table()
+    assert sorted(int(code) for code, *_ in table) == sorted(codes)
+    missing = []
+    for *_, pinned in table:
+        for test in re.findall(r"`([^`]+)`", pinned):
+            path, name = test.split("::")
+            defined = {node.name for node in _parse(REPO / path).body
+                       if isinstance(node, ast.FunctionDef)}
+            if name not in defined:
+                missing.append(test)
+    assert not missing, f"the exit-code table names tests that do not exist: {missing}"

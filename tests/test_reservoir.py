@@ -290,6 +290,14 @@ def test_streaming_matches_materialized(reservoir_config, method_id):
     assert np.max(np.abs(dense - lean)) <= 1e-12
 
 
+def _projected_in_blocks(res, images, mode):
+    """W @ Y of a stack as ``network`` projects it, one ``image_chunks``
+    block at a time, the blocks concatenated."""
+    blocks = list(network._preactivations(res, images, mode))
+    assert [(a, b) for a, b, _ in blocks] == reservoir.image_chunks(len(images), mode)
+    return np.concatenate([z for _, _, z in blocks])
+
+
 # N around the chunk size C and its multiples, where a fixed-size split would
 # leave a remainder of a few rows
 C = PROJECTION_CHUNK_ROWS
@@ -311,6 +319,8 @@ CHUNK_EDGE_COUNTS = [1, 2, C - 1, C, C + 1, C + 2, 2 * C + 1, 12000]
 @example(n=C + 1, size=4, seed=0)
 @example(n=C + 1, size=5, seed=0)
 def test_chunked_image_projection_equals_the_flattened_product(n, size, seed):
+    """``network``'s block loop projects a stack as the one product of its
+    flattened rows: bit for bit for 2 <= P <= 192."""
     config = ReservoirConfig(
         method=FillMethod.from_id(4), params=STABLE_PARAMS, reservoir_size=size
     )
@@ -318,7 +328,7 @@ def test_chunked_image_projection_equals_the_flattened_product(n, size, seed):
     rows = flatten_images(images)
     matrix = build_matrix(config)
     expected = rows @ matrix.T
-    got = Reservoir(config).preactivation(images)
+    got = _projected_in_blocks(Reservoir(config), images, "materialized")
     assert got.shape == expected.shape == (n, size)
     if 2 <= size <= 192:
         assert got.tobytes() == expected.tobytes()
@@ -654,33 +664,36 @@ def test_warm_state_tells_signed_zeros_apart():
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_streamed_stack_equals_streamed_flattened_rows(method_id, size, chunk, offset, seed):
-    """A uint8 stack streams in chunks of at most STREAM_CHUNK_ROWS images
-    exactly as its flattened float rows stream in one batch."""
+    """A uint8 stack streams through ``network``'s block loop in blocks of at
+    most STREAM_CHUNK_ROWS images exactly as its flattened float rows stream
+    in one batch."""
     n = 1 if offset is None else chunk + offset
     config = ReservoirConfig(FillMethod.from_id(method_id), STABLE_PARAMS, size)
     images = np.random.default_rng(seed).integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
     images[:, 0, :2] = [0, 255]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reservoir, "STREAM_CHUNK_ROWS", chunk)
-        got = Reservoir(config).preactivation(images, "streaming")
+        assert len(reservoir.image_chunks(n, "streaming")) == max(1, -(-n // chunk))
+        got = _projected_in_blocks(Reservoir(config), images, "streaming")
     expected = Reservoir(config).preactivation(flatten_images(images), "streaming")
     assert got.shape == expected.shape == (n, size)
     assert got.tobytes() == expected.tobytes()
 
 
 def test_streaming_a_stack_holds_one_chunk_of_floats(reservoir_config):
-    """20,000 images stream in two chunks of 10,000 through one 63 MB buffer;
-    a float copy of the whole stack would be 126 MB."""
+    """``predict`` streams 20,000 images in two blocks of 10,000, each
+    through a 63 MB buffer freed before the next; a float copy of the whole
+    stack would be 126 MB."""
     import tracemalloc
 
     n = 20_000
     assert STREAM_CHUNK_ROWS < n
-    res = Reservoir(reservoir_config(method_id=4, reservoir_size=2))
+    model = _model(reservoir_config(method_id=4, reservoir_size=2), [0.0, 0.0], [1.0, 1.0])
     images = np.random.default_rng(16).integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        res.preactivation(images, "streaming")
+        assert model.predict(images, "streaming").shape == (n,)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
