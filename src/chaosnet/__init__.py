@@ -13,7 +13,7 @@ from chaosnet.reservoir import FillMethod, ReservoirConfig, Reservoir, flatten_i
 from chaosnet.network import Architecture, TrainConfig, NetworkModel, train, evaluate
 from chaosnet.rpso import SwarmConfig, Swarm, optimize
 from chaosnet.analysis import ApEnConfig, SweepConfig, approximate_entropy, poincare_pairs, bifurcation_sweep
-from chaosnet.mnist import LabeledDataset, SplitPlan, load_idx
+from chaosnet.mnist import LabeledDataset, SplitPlan
 from chaosnet.footprint import FootprintReport
 
 __version__ = "0.1.0"
@@ -42,7 +42,6 @@ __all__ = [
     "bifurcation_sweep",
     "LabeledDataset",
     "SplitPlan",
-    "load_idx",
     "FootprintReport",
     "__version__",
 ]

@@ -444,33 +444,30 @@ def _publish(manifest: tuple[Path, str], files) -> None:
         write_atomic(path, text)
 
 
-def _load_datasets(s: Settings):
-    train, test = mnist.load_mnist(s.data_dir)
-    if s.subset is not None:
-        train = train.subset(np.arange(min(s.subset, len(train))))
-        test = test.subset(np.arange(min(s.subset, len(test))))
-    return train, test
+def _open_data(s: Settings):
+    """The (images, labels) of the training set and of the test set, every
+    header and label checked (:func:`mnist.open_mnist`), each cut to its
+    first ``--subset`` images; the images are still in their files."""
+    data = []
+    for images, labels in mnist.open_mnist(s.data_dir):
+        labels = labels[: s.subset]
+        data.append((replace(images, count=len(labels)), labels))
+    return data
 
 
 def _search_objective(s: Settings, score_on_test: bool):
     """The swarm's accuracy objective: train on the optimization split of the
-    training base, score on the whole base or on the test set."""
-    train_ds, test_ds = _load_datasets(s)
+    training base, score on the whole base or on the test set, whose images
+    are read only then."""
+    (train_images, train_labels), (test_images, test_labels) = _open_data(s)
     try:
-        idx = split_indices(train_ds.labels, s.split)
+        idx = split_indices(train_labels, s.split)
     except ValueError as exc:
         raise IdxFormatError(f"cannot build the optimization split: {exc}") from exc
-    subset_ds = train_ds.subset(idx)
-    scored = test_ds if score_on_test else train_ds
+    base = train_images.read()
+    scored = (test_images.read(), test_labels) if score_on_test else (base, train_labels)
     return rpso.make_accuracy_objective(
-        s.method,
-        s.architecture,
-        subset_ds.images,
-        subset_ds.labels,
-        scored.images,
-        scored.labels,
-        s.train,
-        mode=s.mode,
+        s.method, s.architecture, base[idx], train_labels[idx], *scored, s.train, mode=s.mode
     )
 
 
@@ -540,10 +537,7 @@ def cmd_train(config: dict, s: Settings) -> int:
         _directory(model_path.parent, "model_path's parent")
     out = _output_dir(s)
     manifest_path, text, digest = manifest(config, out, "train")
-    (train_images, train_labels), (test_images, test_labels) = mnist.open_mnist(s.data_dir)
-    train_labels, test_labels = train_labels[: s.subset], test_labels[: s.subset]
-    train_images = replace(train_images, count=len(train_labels))
-    test_images = replace(test_images, count=len(test_labels))
+    (train_images, train_labels), (test_images, test_labels) = _open_data(s)
 
     model = network.train(
         train_images, train_labels, s.architecture, s.reservoir, s.train, mode=s.mode
@@ -680,7 +674,8 @@ def cmd_report(config: dict, s: Settings) -> int:
 def cmd_grid(config: dict, s: Settings) -> int:
     out = _output_dir(s)
     manifest_path, text, digest = manifest(config, out, "grid")
-    train_ds, test_ds = _load_datasets(s)
+    (train_images, train_labels), (test_images, test_labels) = _open_data(s)
+    train_images, test_images = train_images.read(), test_images.read()
 
     position = rpso.position_from_params(s.reservoir.params)
     rows: list[tuple[str, list[float]]] = []  # per architecture, one accuracy per method
@@ -689,8 +684,8 @@ def cmd_grid(config: dict, s: Settings) -> int:
         for method in s.grid_methods:
             # the search's objective and failure policy, scored on the test set
             objective = rpso.make_accuracy_objective(
-                method, architecture, train_ds.images, train_ds.labels,
-                test_ds.images, test_ds.labels, s.train, mode=s.mode,
+                method, architecture, train_images, train_labels,
+                test_images, test_labels, s.train, mode=s.mode,
             )
             accuracy = objective(position)
             accuracies.append(accuracy)

@@ -5,13 +5,12 @@ gzip-compressed variants detected by file extension, with one reader,
 :class:`_IdxReader`.  Each file's header is read and checked first; its data
 is then read straight into read-only uint8 arrays of the final size, in
 pieces of READ_PIECE_BYTES, so no copy of the file's bytes is held beside
-them.  :func:`load_mnist` reads each pair whole into an immutable in-memory
-dataset: a 47 MB image file costs its array plus one 1 MB piece.
-:func:`open_mnist` reads the headers and the labels only and leaves the
-images in their files, to be read one block at a time, as ``train`` reads
-them so that it never holds an image stack.  Also derives the seeded
-optimization subset used for parameter-search fitness: 20% of the training
-base, stratified by digit by default, validated against the full base.
+them.  :func:`open_mnist` reads the headers of all four files and both label
+files, and leaves the images in their files as :class:`IdxImages`, read one
+block at a time (:meth:`IdxImages.blocks`, as ``train`` reads them) or whole
+(:meth:`IdxImages.read`).  Also derives the seeded optimization subset used
+for parameter-search fitness: 20% of the training base, stratified by digit
+by default, validated against the full base.
 """
 
 from __future__ import annotations
@@ -187,51 +186,11 @@ class _IdxReader:
             )
 
 
-def _read_idx(path, kind: str) -> np.ndarray:
-    """The data of an IDX ``kind`` file ("image" or "label") as one read-only
-    uint8 array shaped by its header, the file's length checked."""
-    with _IdxReader(path, kind) as reader:
-        data = reader.read(reader.dims[0])
-        reader.finish()
-    return data
-
-
-def _check_images(path, dims) -> None:
-    """Refuse image dimensions other than (N, 28, 28) with N at least 1."""
-    if dims[1:] != (28, 28):
-        raise IdxFormatError(f"{path}: expected 28x28 images, header says {dims[1]}x{dims[2]}")
-    if dims[0] == 0:  # nothing could be trained or scored on it
-        raise IdxFormatError(f"{path}: holds no images")
-
-
-def _check_labels(images_path, count: int, labels_path, labels: np.ndarray) -> None:
-    """Refuse labels that are not one digit 0-9 for each of ``count`` images."""
-    if count != labels.shape[0]:
-        raise IdxCountMismatchError(
-            f"{labels_path}: {labels.shape[0]} labels for {count} images in {images_path}"
-        )
-    bad = np.flatnonzero(labels >= N_CLASSES)
-    if bad.size:
-        # the label data starts after the 8-byte header
-        raise IdxFormatError(
-            f"{labels_path}: label {labels[bad[0]]} at offset {8 + bad[0]} is not a digit 0-9"
-        )
-
-
-def load_idx(images_path, labels_path) -> LabeledDataset:
-    """Parse an IDX image/label file pair into a dataset of at least one image."""
-    images = _read_idx(images_path, "image")
-    _check_images(images_path, images.shape)
-    labels = _read_idx(labels_path, "label")
-    _check_labels(images_path, len(images), labels_path, labels)
-    return LabeledDataset(images, labels)
-
-
 @dataclass(frozen=True)
 class IdxImages:
     """The first ``count`` images (the header's count, or fewer) of an IDX
     file of 28x28 images whose header is checked (see :func:`open_mnist`),
-    read later by :meth:`blocks`."""
+    read later by :meth:`blocks` or :meth:`read`."""
 
     path: Path
     count: int
@@ -252,16 +211,39 @@ class IdxImages:
                     reader.finish()
                 yield block
 
+    def read(self) -> np.ndarray:
+        """All ``count`` images as one read-only (count, 28, 28) uint8 array,
+        the file's length checked as :meth:`blocks` checks it."""
+        [images] = self.blocks([(0, self.count)])
+        return images
+
 
 def _open_idx(images_path, labels_path) -> tuple[IdxImages, np.ndarray]:
-    """The image file of an IDX pair, its header checked, and its labels, with
-    every check of :func:`load_idx` but the length of the image file, which
-    :meth:`IdxImages.blocks` checks before it hands out the last block."""
+    """The image file of an IDX pair, its header checked, and its labels:
+    one digit 0-9 for each image.  The image file's length is checked when
+    its images are read, by :meth:`IdxImages.blocks`."""
     with _IdxReader(images_path, "image") as reader:
-        _check_images(images_path, reader.dims)
-    labels = _read_idx(labels_path, "label")
-    _check_labels(images_path, reader.dims[0], labels_path, labels)
-    return IdxImages(images_path, reader.dims[0]), labels
+        count, *grid = reader.dims
+    if grid != [28, 28]:
+        raise IdxFormatError(
+            f"{images_path}: expected 28x28 images, header says {grid[0]}x{grid[1]}"
+        )
+    if count == 0:  # nothing could be trained or scored on it
+        raise IdxFormatError(f"{images_path}: holds no images")
+    with _IdxReader(labels_path, "label") as reader:
+        labels = reader.read(reader.dims[0])
+        reader.finish()
+    if len(labels) != count:
+        raise IdxCountMismatchError(
+            f"{labels_path}: {len(labels)} labels for {count} images in {images_path}"
+        )
+    bad = np.flatnonzero(labels >= N_CLASSES)
+    if bad.size:
+        # the label data starts after the 8-byte header
+        raise IdxFormatError(
+            f"{labels_path}: label {labels[bad[0]]} at offset {8 + bad[0]} is not a digit 0-9"
+        )
+    return IdxImages(images_path, count), labels
 
 
 @dataclass(frozen=True)
@@ -330,8 +312,14 @@ def find_mnist(directory=None) -> dict[str, Path] | None:
     return found
 
 
-def _mnist_paths(directory) -> dict[str, Path]:
-    """The four canonical files under ``directory``; IdxMissingError if one is missing."""
+def open_mnist(directory=None) -> tuple[tuple[IdxImages, np.ndarray], ...]:
+    """The (images, labels) of the training set and of the test set found by
+    :func:`find_mnist`, with the images left in their files.
+
+    The headers of all four files and both label files are read and checked
+    first, so a fault in any of them is reported before an image is read.
+    Each image file's length is checked when its images are read.
+    """
     paths = find_mnist(directory)
     if paths is None:
         directory = Path(directory) if directory is not None else default_data_dir()
@@ -339,36 +327,20 @@ def _mnist_paths(directory) -> dict[str, Path]:
             f"MNIST IDX files not found under {directory} "
             f"(set ${DATA_DIR_ENV} or pass a directory)"
         )
-    return paths
-
-
-def load_mnist(directory=None) -> tuple[LabeledDataset, LabeledDataset]:
-    """(train, test) datasets from a directory holding the canonical files."""
-    paths = _mnist_paths(directory)
-    train = load_idx(paths["train_images"], paths["train_labels"])
-    test = load_idx(paths["test_images"], paths["test_labels"])
-    return train, test
-
-
-def open_mnist(directory=None) -> tuple[tuple[IdxImages, np.ndarray], ...]:
-    """The (images, labels) of the training set and of the test set, as
-    :func:`load_mnist` finds them, with the images left in their files.
-
-    The headers of all four files and both label files are read and checked
-    first, as :func:`load_idx` checks them, so a fault in any of them is
-    reported before an image is read.  Each image file's length is checked
-    when its images are read, by :meth:`IdxImages.blocks`.
-    """
-    paths = _mnist_paths(directory)
     train = _open_idx(paths["train_images"], paths["train_labels"])
     test = _open_idx(paths["test_images"], paths["test_labels"])
     return train, test
 
 
+def load_mnist(directory=None) -> tuple[LabeledDataset, LabeledDataset]:
+    """(train, test) datasets read whole through :func:`open_mnist`; only the
+    benchmark under ``perfbench/`` still reads data this way."""
+    return tuple(LabeledDataset(images.read(), labels) for images, labels in open_mnist(directory))
+
+
 __all__ = [
     "LabeledDataset",
     "SplitPlan",
-    "load_idx",
     "split_indices",
     "find_mnist",
     "load_mnist",

@@ -332,9 +332,10 @@ def train(
 
 def evaluate(model: NetworkModel, images: np.ndarray, labels: np.ndarray,
              mode: str = "materialized") -> float:
-    """Fraction of argmax predictions matching ``labels`` on (N, 28, 28)
-    uint8 ``images``, scored chunk by chunk by :meth:`NetworkModel.predict`
-    without an N-sized float array; one label per image, or a ValueError."""
+    """Fraction of argmax predictions matching ``labels`` on ``images``, an
+    (N, 28, 28) uint8 array or the :class:`IdxImages` of a file, scored chunk
+    by chunk by :meth:`NetworkModel.predict` without an N-sized float array;
+    one label per image, or a ValueError."""
     labels = np.asarray(labels)
     if labels.shape != (len(images),):
         raise ValueError(f"{len(images)} images need as many labels, got {labels.size} "

@@ -1,4 +1,4 @@
-"""IDX writers for test fixtures: the inverse of ``chaosnet.mnist.load_idx``."""
+"""IDX writers for test fixtures: the inverse of ``chaosnet.mnist.open_mnist``."""
 
 import gzip
 import os

@@ -278,13 +278,81 @@ def test_an_idx_pair_of_no_images_exits_3(synthetic_data_dir, tmp_path, capsys, 
     nothing = mnist.LabeledDataset(np.zeros((0, 28, 28), np.uint8), np.zeros(0, np.uint8))
     save_idx(nothing, images, folder / f"{empty}-labels-idx1-ubyte.gz")
     out = tmp_path / "out"
-    args = {
-        "train": train_smoke_args, "optimize": optimize_smoke_args, "grid": grid_smoke_args,
-        "analyze": analyze_accuracy_args,
-    }[command](folder, out)
-    assert run(*args) == EXIT_DATA
+    assert run(*data_command_args(command, folder, out)) == EXIT_DATA
     assert f"{images}: holds no images" in capsys.readouterr().err
     assert not out.exists()
+
+
+def data_command_args(command, data_dir, out_dir):
+    """The smoke-run arguments of ``command``, one of the four that read IDX
+    data (``analyze`` with its accuracy column)."""
+    return {
+        "train": train_smoke_args, "optimize": optimize_smoke_args, "grid": grid_smoke_args,
+        "analyze": analyze_accuracy_args,
+    }[command](data_dir, out_dir)
+
+
+@pytest.mark.parametrize("command", ["train", "optimize", "grid", "analyze"])
+def test_every_data_command_reports_the_same_first_fault(
+    synthetic_data_dir, tmp_path, capsys, command
+):
+    """A training image file cut 100 bytes short and a test label of 12:
+    every command checks all four headers and both label files before it
+    reads an image, so each reports the label.  Only train did; optimize,
+    grid and analyze read the training images whole first and reported the
+    cut file."""
+    folder = copy_of(synthetic_data_dir, tmp_path / "data")
+    rewrite(folder / "train-images-idx3-ubyte.gz", lambda b: b[:-100])
+    labels = folder / "t10k-labels-idx1-ubyte.gz"
+    rewrite(labels, lambda b: b[:8] + bytes([12]) + b[9:])
+    out = tmp_path / "out"
+    assert run(*data_command_args(command, folder, out)) == EXIT_DATA
+    assert f"{labels}: label 12 at offset 8 is not a digit 0-9" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subset", [None, 30], ids=["whole", "subset"])
+@pytest.mark.parametrize(
+    "command, read",
+    [("optimize", ["train"]), ("grid", ["train", "t10k"])],
+    ids=["optimize", "grid"],
+)
+def test_each_command_reads_the_images_it_scores_and_no_more(
+    synthetic_data_dir, tmp_path, monkeypatch, command, read, subset
+):
+    """``optimize`` reads only the training images, ``grid`` both sets, and
+    under ``--subset N`` only the first N images of a file go into an array.
+    Both used to read both stacks whole, then copy the first N images."""
+    reads = []
+    blocks = mnist.IdxImages.blocks
+
+    def spy(self, bounds):
+        reads.append((self.path.name, list(bounds)))
+        return blocks(self, bounds)
+
+    monkeypatch.setattr(mnist.IdxImages, "blocks", spy)
+    args = data_command_args(command, synthetic_data_dir, tmp_path / "out")
+    at = args.index("--subset")
+    if subset is None:
+        del args[at : at + 2]
+    else:
+        args[at + 1] = str(subset)
+    assert run(*args) == EXIT_OK
+    counts = {"train": 200, "t10k": 50}
+    assert reads == [
+        (f"{prefix}-images-idx3-ubyte.gz", [(0, subset or counts[prefix])]) for prefix in read
+    ]
+
+
+def test_optimize_checks_the_test_files_but_never_reads_their_images(
+    synthetic_data_dir, tmp_path
+):
+    """``optimize`` scores on the training base: the test files' headers and
+    labels are checked (a test label of 12 exits 3, as the test above pins),
+    but a test image file cut short goes unread.  It used to exit 3."""
+    folder = copy_of(synthetic_data_dir, tmp_path / "data")
+    rewrite(folder / "t10k-images-idx3-ubyte.gz", lambda b: b[:-100])
+    assert run(*optimize_smoke_args(folder, tmp_path / "out")) == EXIT_OK
 
 
 def rewrite(path, edit):
@@ -1164,12 +1232,11 @@ def test_bad_swarm_size_exits_2(synthetic_data_dir, tmp_path):
 
 
 def record_reads(monkeypatch) -> list:
-    """The list to which each read of the IDX files, whole or a block at a
-    time, appends its arguments."""
+    """The list to which each opening of the IDX files, the only way the
+    commands read them, appends its arguments."""
     reads = []
-    for name in ("load_mnist", "open_mnist"):
-        read = getattr(mnist, name)
-        monkeypatch.setattr(mnist, name, lambda *args, read=read: reads.append(args) or read(*args))
+    read = mnist.open_mnist
+    monkeypatch.setattr(mnist, "open_mnist", lambda *args: reads.append(args) or read(*args))
     return reads
 
 

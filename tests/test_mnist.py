@@ -19,8 +19,8 @@ from chaosnet.mnist import (
     LabeledDataset,
     SplitPlan,
     find_mnist,
-    load_idx,
     load_mnist,
+    open_mnist,
     split_indices,
 )
 
@@ -32,6 +32,23 @@ def tiny_dataset(count=20, seed=0):
     images = rng.integers(0, 256, size=(count, 28, 28), dtype=np.uint8)
     labels = rng.integers(0, 10, size=count, dtype=np.uint8)
     return LabeledDataset(images, labels)
+
+
+def save_mnist(directory, train, test=None, suffix=""):
+    """Write ``train`` and ``test`` (by default ``train`` again) as the four
+    canonical IDX files of ``directory``; their paths, keyed as
+    :func:`find_mnist` keys them."""
+    directory.mkdir(exist_ok=True)
+    for prefix, ds in (("train", train), ("t10k", train if test is None else test)):
+        save_idx(ds, directory / f"{prefix}-images-idx3-ubyte{suffix}",
+                 directory / f"{prefix}-labels-idx1-ubyte{suffix}")
+    return find_mnist(directory)
+
+
+def read_training_set(directory):
+    """The training images of ``directory``, read whole, and their labels."""
+    (images, labels), _ = open_mnist(directory)
+    return images.read(), labels
 
 
 # ---------------------------------------------------------------- serialization
@@ -56,22 +73,18 @@ def test_label_header_is_big_endian_idx1():
 
 def test_round_trip_plain_files(tmp_path):
     ds = tiny_dataset()
-    images_path = tmp_path / "imgs-idx3-ubyte"
-    labels_path = tmp_path / "labs-idx1-ubyte"
-    save_idx(ds, images_path, labels_path)
-    back = load_idx(images_path, labels_path)
-    assert np.array_equal(back.images, ds.images)
-    assert np.array_equal(back.labels, ds.labels)
+    save_mnist(tmp_path, ds)
+    images, labels = read_training_set(tmp_path)
+    assert np.array_equal(images, ds.images)
+    assert np.array_equal(labels, ds.labels)
 
 
 def test_round_trip_gzip_files(tmp_path):
     ds = tiny_dataset()
-    images_path = tmp_path / "imgs-idx3-ubyte.gz"
-    labels_path = tmp_path / "labs-idx1-ubyte.gz"
-    save_idx(ds, images_path, labels_path)
-    back = load_idx(images_path, labels_path)
-    assert np.array_equal(back.images, ds.images)
-    assert np.array_equal(back.labels, ds.labels)
+    save_mnist(tmp_path, ds, suffix=".gz")
+    images, labels = read_training_set(tmp_path)
+    assert np.array_equal(images, ds.images)
+    assert np.array_equal(labels, ds.labels)
 
 
 def test_gzip_output_is_deterministic(tmp_path):
@@ -96,47 +109,45 @@ def test_gzip_content_equals_plain_content(tmp_path):
 
 
 def test_resaved_file_is_byte_identical(tmp_path):
-    ds = tiny_dataset()
-    save_idx(ds, tmp_path / "one-imgs", tmp_path / "one-labs")
-    back = load_idx(tmp_path / "one-imgs", tmp_path / "one-labs")
+    one = save_mnist(tmp_path / "one", tiny_dataset())
+    back = LabeledDataset(*read_training_set(tmp_path / "one"))
     save_idx(back, tmp_path / "two-imgs", tmp_path / "two-labs")
-    assert (tmp_path / "one-imgs").read_bytes() == (tmp_path / "two-imgs").read_bytes()
-    assert (tmp_path / "one-labs").read_bytes() == (tmp_path / "two-labs").read_bytes()
+    assert one["train_images"].read_bytes() == (tmp_path / "two-imgs").read_bytes()
+    assert one["train_labels"].read_bytes() == (tmp_path / "two-labs").read_bytes()
 
 
 # ---------------------------------------------------------------- format errors
 
 
 def test_swapped_files_raise_magic_error(tmp_path):
-    ds = tiny_dataset(4)
-    save_idx(ds, tmp_path / "imgs", tmp_path / "labs")
+    paths = save_mnist(tmp_path, tiny_dataset(4))
+    images, labels = paths["train_images"], paths["train_labels"]
+    payloads = images.read_bytes(), labels.read_bytes()
+    labels.write_bytes(payloads[0])
+    images.write_bytes(payloads[1])  # the label file where the images belong
     with pytest.raises(IdxMagicError) as err:
-        load_idx(tmp_path / "labs", tmp_path / "imgs")
-    assert "labs" in str(err.value)
+        open_mnist(tmp_path)
+    assert str(images) in str(err.value)
 
 
 def test_truncated_image_file_raises(tmp_path):
-    ds = tiny_dataset(4)
-    save_idx(ds, tmp_path / "imgs", tmp_path / "labs")
-    payload = (tmp_path / "imgs").read_bytes()
-    (tmp_path / "imgs").write_bytes(payload[: len(payload) - 100])
+    images = save_mnist(tmp_path, tiny_dataset(4))["train_images"]
+    payload = images.read_bytes()
+    images.write_bytes(payload[: len(payload) - 100])
     with pytest.raises(IdxTruncatedError) as err:
-        load_idx(tmp_path / "imgs", tmp_path / "labs")
-    assert "imgs" in str(err.value)
+        read_training_set(tmp_path)
+    assert str(images) in str(err.value)
 
 
 @pytest.mark.parametrize("suffix", ["", ".gz"])
 @pytest.mark.parametrize("kind", ["images", "labels"])
 def test_bytes_past_the_header_count_raise_truncated_with_both_counts(tmp_path, kind, suffix):
     ds = tiny_dataset(4)
-    images, labels = tmp_path / f"imgs{suffix}", tmp_path / f"labs{suffix}"
-    save_idx(ds, images, labels)
+    long = save_mnist(tmp_path, ds, suffix=suffix)[f"train_{kind}"]
     payload = serialize_images(ds.images) if kind == "images" else serialize_labels(ds.labels)
-    long = tmp_path / f"long{suffix}"
     long.write_bytes(gzip.compress(payload + b"tail") if suffix else payload + b"tail")
-    paths = (long, labels) if kind == "images" else (images, long)
     with pytest.raises(IdxTruncatedError) as err:
-        load_idx(*paths)
+        read_training_set(tmp_path)
     message = str(err.value)
     assert str(long) in message
     assert f"expected {len(payload)} bytes" in message
@@ -158,6 +169,18 @@ def test_a_long_image_file_raises_before_its_last_block_is_handed_out(tmp_path, 
         list(itertools.islice(blocks, len(bounds)))
 
 
+@pytest.mark.parametrize("count", [4, 3], ids=["header-count", "fewer"])
+def test_read_holds_count_images_and_checks_the_whole_file(tmp_path, count):
+    ds = tiny_dataset(4)
+    path = tmp_path / "imgs"
+    path.write_bytes(serialize_images(ds.images))
+    images = IdxImages(path, count).read()
+    assert np.array_equal(images, ds.images[:count]) and not images.flags.writeable
+    path.write_bytes(serialize_images(ds.images)[:-100])
+    with pytest.raises(IdxTruncatedError, match=f"found {16 + 4 * 784 - 100} "):
+        IdxImages(path, count).read()
+
+
 @pytest.mark.parametrize(
     "dims",
     [(2**32 - 1, 28, 28), (2**32 - 1, 2**32 - 1, 2**32 - 1)],
@@ -165,16 +188,14 @@ def test_a_long_image_file_raises_before_its_last_block_is_handed_out(tmp_path, 
 )
 def test_a_header_claiming_more_than_memory_is_reported_as_truncated(tmp_path, dims):
     (tmp_path / "imgs").write_bytes(struct.pack(">IIII", 2051, *dims) + bytes(10))
-    (tmp_path / "labs").write_bytes(serialize_labels(np.zeros(2, dtype=np.uint8)))
     with pytest.raises(IdxTruncatedError, match="found 26 "):
-        load_idx(tmp_path / "imgs", tmp_path / "labs")
+        IdxImages(tmp_path / "imgs", dims[0]).read()
 
 
 @pytest.mark.parametrize("suffix", ["", ".gz"])
 def test_loaded_images_and_labels_are_read_only(tmp_path, suffix):
-    save_idx(tiny_dataset(3), tmp_path / f"imgs{suffix}", tmp_path / f"labs{suffix}")
-    ds = load_idx(tmp_path / f"imgs{suffix}", tmp_path / f"labs{suffix}")
-    for arr in (ds.images, ds.labels):
+    save_mnist(tmp_path, tiny_dataset(3), suffix=suffix)
+    for arr in read_training_set(tmp_path):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1
@@ -189,56 +210,51 @@ def test_loading_60k_gzipped_images_holds_them_once(tmp_path):
     images = np.zeros((count, 28, 28), dtype=np.uint8)
     images[:, 14, :] = np.arange(count, dtype=np.uint8)[:, None]
     labels = (np.arange(count) % 10).astype(np.uint8)
-    save_idx(LabeledDataset(images, labels), tmp_path / "imgs.gz", tmp_path / "labs.gz")
+    save_mnist(tmp_path, LabeledDataset(images, labels), tiny_dataset(), suffix=".gz")
     del images, labels
     tracemalloc.start()
     try:
-        ds = load_idx(tmp_path / "imgs.gz", tmp_path / "labs.gz")
+        images, labels = read_training_set(tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ds.images[123, 14, 5] == 123 and ds.labels[-1] == 9
-    size = ds.images.nbytes
+    assert images[123, 14, 5] == 123 and labels[-1] == 9
+    size = images.nbytes
     assert peak < size + 4e6, f"peak {peak / 1e6:.1f} MB for {size / 1e6:.1f} MB of images"
 
 
 def test_count_mismatch_raises(tmp_path):
     ds = tiny_dataset(4)
-    save_idx(ds, tmp_path / "imgs", tmp_path / "labs")
-    short = LabeledDataset(ds.images[:3], ds.labels[:3])
-    save_idx(short, tmp_path / "short-imgs", tmp_path / "short-labs")
+    labels = save_mnist(tmp_path, ds)["train_labels"]
+    labels.write_bytes(serialize_labels(ds.labels[:3]))
     with pytest.raises(IdxCountMismatchError):
-        load_idx(tmp_path / "imgs", tmp_path / "short-labs")
+        open_mnist(tmp_path)
 
 
 def test_a_label_above_9_raises_naming_file_offset_and_value(tmp_path):
-    save_idx(tiny_dataset(6), tmp_path / "imgs", tmp_path / "labs")
-    payload = bytearray((tmp_path / "labs").read_bytes())
+    labels = save_mnist(tmp_path, tiny_dataset(6))["train_labels"]
+    payload = bytearray(labels.read_bytes())
     payload[8 + 3] = 12  # the fourth label, after the 8-byte header
-    (tmp_path / "labs").write_bytes(bytes(payload))
+    labels.write_bytes(bytes(payload))
     with pytest.raises(IdxFormatError) as caught:
-        load_idx(tmp_path / "imgs", tmp_path / "labs")
-    assert str(caught.value) == f"{tmp_path / 'labs'}: label 12 at offset 11 is not a digit 0-9"
+        open_mnist(tmp_path)
+    assert str(caught.value) == f"{labels}: label 12 at offset 11 is not a digit 0-9"
 
 
 @pytest.mark.parametrize("suffix", ["", ".gz"])
 def test_a_pair_of_no_images_raises_naming_the_image_file(tmp_path, suffix):
-    images, labels = tmp_path / f"imgs{suffix}", tmp_path / f"labs{suffix}"
-    save_idx(tiny_dataset(0), images, labels)
+    images = save_mnist(tmp_path, tiny_dataset(0), suffix=suffix)["train_images"]
     with pytest.raises(IdxFormatError) as caught:
-        load_idx(images, labels)
+        open_mnist(tmp_path)
     assert str(caught.value) == f"{images}: holds no images"
 
 
 def test_unexpected_geometry_raises(tmp_path):
-    images = np.zeros((2, 32, 32), dtype=np.uint8)
+    images = save_mnist(tmp_path, tiny_dataset(2))["train_images"]
     header = struct.pack(">iiii", 2051, 2, 32, 32)
-    (tmp_path / "imgs").write_bytes(header + images.tobytes())
-    (tmp_path / "labs").write_bytes(
-        struct.pack(">ii", 2049, 2) + bytes([0, 1])
-    )
+    images.write_bytes(header + np.zeros((2, 32, 32), dtype=np.uint8).tobytes())
     with pytest.raises(IdxFormatError):
-        load_idx(tmp_path / "imgs", tmp_path / "labs")
+        open_mnist(tmp_path)
 
 
 # ---------------------------------------------------------------- dataset type

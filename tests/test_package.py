@@ -1,7 +1,7 @@
 """The public names of the package and of its modules resolve, each has a
 caller outside the tests, one module writes every file, one module cuts
-image stacks into blocks, and the README's exit-code table names real codes
-and tests."""
+image stacks into blocks, one function reads IDX data, and the README's
+exit-code table names real codes and tests."""
 
 import ast
 import importlib
@@ -126,6 +126,14 @@ def test_only_network_cuts_image_stacks_into_blocks():
     calls = {path.stem: _calls(path, "image_chunks") for path in PACKAGE.glob("*.py")}
     assert calls.pop("network"), "the check no longer recognises network's call"
     assert not any(calls.values()), f"image_chunks called outside chaosnet.network: {calls}"
+
+
+def test_no_product_module_reads_data_through_load_mnist():
+    """Every command reads its IDX files through ``mnist.open_mnist``;
+    ``load_mnist`` is kept for ``perfbench/`` alone."""
+    calls = {path.stem: _calls(path, "load_mnist") for path in PACKAGE.glob("*.py")}
+    assert not any(calls.values()), f"load_mnist called in chaosnet: {calls}"
+    assert _calls(PACKAGE / "cli.py", "open_mnist"), "the check no longer sees cli's reader"
 
 
 def _exit_code_table() -> list[list[str]]:
